@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the building blocks: the crypto engine,
-//! Reed–Solomon/Chipkill codecs, the secure controller datapath, and one
-//! FaultSim iteration. These quantify simulator throughput (they are not
+//! Reed–Solomon/Chipkill codecs, the secure controller datapath, one
+//! FaultSim iteration, and one loss assessment. These quantify simulator throughput (they are not
 //! paper figures — the `fig*` binaries regenerate those).
 //!
 //! Runs on the in-tree wall-clock harness ([`soteria_rt::bench`]):
@@ -19,6 +19,7 @@
 use soteria_rt::bench::{black_box, Harness, Stats};
 use soteria_rt::json::Json;
 
+use soteria::analysis::ResilienceModel;
 use soteria::clone::CloningPolicy;
 use soteria::mdcache::{CachedBlock, MetadataCache};
 use soteria::{DataAddr, Fidelity, MetaId, SecureMemoryConfig, SecureMemoryController};
@@ -29,7 +30,8 @@ use soteria_crypto::sha256::Sha256;
 use soteria_crypto::{EncryptionKey, MacKey};
 use soteria_ecc::chipkill::{ChipkillCodec, LineCodec};
 use soteria_ecc::rs::ReedSolomon;
-use soteria_faultsim::{run_campaign, CampaignConfig};
+use soteria_faultsim::{run_campaign, CampaignConfig, STANDARD_POLICIES};
+use soteria_nvm::fault::{FaultFootprint, FaultKind, FaultRecord};
 use soteria_nvm::LineAddr;
 
 fn bench_crypto(c: &mut Harness) {
@@ -325,6 +327,35 @@ fn bench_faultsim(c: &mut Harness) {
     config.capacity_bytes = 1 << 30;
     c.bench_function("faultsim_200_iterations_fit80", |b| {
         b.iter(|| run_campaign(black_box(&config), &[CloningPolicy::Relaxed]))
+    });
+    // The heaviest fault set of the bench-e2e campaign set-up (seed 59,
+    // call 12, iteration 27): bank-wide UE regions in banks 1-2 plus a
+    // one-line region, assessed on the Table 4 16 GiB layout.
+    let config = CampaignConfig::table4(1500.0);
+    let layout = config.build_layout();
+    let geometry = config.build_geometry(&layout);
+    let model = ResilienceModel::new(&layout, &geometry);
+    let on = |chip: u32, footprint| {
+        FaultRecord::on_chip(&geometry, chip, footprint, FaultKind::Permanent)
+    };
+    let mixed = [
+        on(12, FaultFootprint::MultiBank { bank_mask: 8230 }),
+        on(
+            9,
+            FaultFootprint::SingleBit {
+                bank: 1,
+                row: 9601,
+                col: 954,
+                beat: 1,
+                bit: 7,
+            },
+        ),
+        on(12, FaultFootprint::SingleBank { bank: 1 }),
+        on(13, FaultFootprint::MultiBank { bank_mask: 14 }),
+    ];
+    let policies: Vec<&CloningPolicy> = STANDARD_POLICIES.iter().collect();
+    c.bench_function("analysis_assess_mixed_16gib", |b| {
+        b.iter(|| model.assess_many(black_box(&mixed), &policies))
     });
 }
 

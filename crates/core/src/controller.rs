@@ -32,7 +32,7 @@ use soteria_rt::obs::Obs;
 use soteria_rt::obs_fields;
 use soteria_nvm::device::NvmDimm;
 use soteria_nvm::geometry::DimmGeometry;
-use soteria_nvm::timing::AccessKind;
+use soteria_nvm::timing::{AccessKind, NvmTiming};
 use soteria_nvm::wpq::{AcceptOutcome, PendingWrite, WritePendingQueue};
 use soteria_nvm::LineAddr;
 
@@ -67,9 +67,10 @@ pub struct KeyRotationReport {
 }
 
 impl KeyRotationReport {
-    /// Serialized-PCM time estimate (150/300 ns).
+    /// Serialized-PCM time estimate: [`NvmTiming::serialized_ns`] at the
+    /// Table 3 latencies.
     pub fn estimated_duration_ns(&self) -> u64 {
-        self.nvm_reads * 150 + self.nvm_writes * 300
+        NvmTiming::table3_pcm().serialized_ns(self.nvm_reads, self.nvm_writes)
     }
 }
 

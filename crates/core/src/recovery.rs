@@ -24,6 +24,7 @@ use soteria_crypto::ctr::CounterModeCipher;
 use soteria_crypto::mac::MacEngine;
 use soteria_ecc::CorrectionOutcome;
 use soteria_nvm::device::NvmDimm;
+use soteria_nvm::timing::NvmTiming;
 use soteria_rt::obs::Obs;
 use soteria_rt::obs_fields;
 
@@ -153,11 +154,11 @@ impl RecoveryReport {
         self.unverifiable.is_empty()
     }
 
-    /// Estimated recovery time with serialized PCM accesses (150 ns
-    /// reads / 300 ns writes) — the metric the Anubis-vs-Osiris
-    /// comparison of §2.6 is about.
+    /// Estimated recovery time with serialized PCM accesses
+    /// ([`NvmTiming::serialized_ns`] at the Table 3 latencies) — the
+    /// metric the Anubis-vs-Osiris comparison of §2.6 is about.
     pub fn estimated_duration_ns(&self) -> u64 {
-        self.nvm_reads * 150 + self.nvm_writes * 300
+        NvmTiming::table3_pcm().serialized_ns(self.nvm_reads, self.nvm_writes)
     }
 }
 

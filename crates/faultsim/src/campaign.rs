@@ -397,8 +397,6 @@ impl Accumulator {
 /// same-seed campaigns bit-identical across thread counts.
 pub const ITERATION_BLOCK: u64 = 64;
 
-/// Simulates one Monte Carlo iteration into `acc`.
-#[allow(clippy::too_many_arguments)]
 /// Per-worker scratch buffers reused across Monte Carlo iterations.
 ///
 /// The campaign hot loop used to allocate a fresh fault history, a
@@ -445,6 +443,7 @@ fn policy_label(policy: &CloningPolicy) -> &'static str {
     }
 }
 
+/// Simulates one Monte Carlo iteration into `acc`.
 fn simulate_iteration(
     rng: &mut StdRng,
     ctx: &WorkerCtx<'_>,

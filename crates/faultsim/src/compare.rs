@@ -13,7 +13,8 @@
 //! * **Slowdown** — one deterministic write/read trace per scheme (the
 //!   same seeded operation stream for all of them) through a real
 //!   controller built from the scheme's trait config, costed with the
-//!   recovery cost model (reads × 150 ns + writes × 300 ns) and
+//!   serialized-PCM model the recovery estimate uses
+//!   ([`NvmTiming::serialized_ns`] at the Table 3 latencies) and
 //!   normalized to the first (baseline) scheme; plus a crash at the end
 //!   of the trace, recovered through the scheme's own recovery hook to
 //!   estimate recovery time.
@@ -29,6 +30,7 @@ use soteria::clone::CloningPolicy;
 use soteria::config::TreeUpdate;
 use soteria::policy::{standard_schemes, ProtectionPolicy, RecoveryStrategy};
 use soteria::DataAddr;
+use soteria_nvm::timing::NvmTiming;
 use soteria_rt::json::Json;
 use soteria_rt::rng::{stream_seed, StdRng};
 use soteria_rt::thread::{fan_out, parallel_map};
@@ -113,7 +115,8 @@ pub struct SchemeRow {
     pub nvm_writes: u64,
     /// NVM line writes per data write.
     pub write_amplification: f64,
-    /// Modeled trace cost (reads × 150 ns + writes × 300 ns).
+    /// Modeled trace cost ([`NvmTiming::serialized_ns`] at the Table 3
+    /// latencies).
     pub cost_ns: u64,
     /// Trace cost normalized to the first (baseline) scheme.
     pub slowdown: f64,
@@ -231,7 +234,7 @@ fn run_trace(scheme: &dyn ProtectionPolicy, config: &CompareConfig) -> TraceCost
         nvm_reads,
         nvm_writes,
         write_amplification: nvm_writes as f64 / data_writes as f64,
-        cost_ns: nvm_reads * 150 + nvm_writes * 300,
+        cost_ns: NvmTiming::table3_pcm().serialized_ns(nvm_reads, nvm_writes),
         recovery_est_ns: report.estimated_duration_ns(),
         recovery_complete: report.is_complete(),
     }

@@ -29,6 +29,13 @@ impl NvmTiming {
         }
     }
 
+    /// Time for `reads` reads and `writes` writes issued one after
+    /// another, with no bank overlap: the serialized-PCM cost model that
+    /// key rotation, recovery and the compare slowdown report.
+    pub fn serialized_ns(&self, reads: u64, writes: u64) -> Ns {
+        reads * self.read_ns + writes * self.write_ns
+    }
+
     /// DRAM-like latencies for sanity comparisons.
     pub fn dram_like() -> Self {
         Self {
@@ -125,6 +132,13 @@ mod tests {
 
     fn geom() -> DimmGeometry {
         DimmGeometry::table4()
+    }
+
+    #[test]
+    fn serialized_cost_adds_table3_latencies() {
+        let pcm = NvmTiming::table3_pcm();
+        assert_eq!(pcm.serialized_ns(4, 3), 4 * 150 + 3 * 300);
+        assert_eq!(NvmTiming::dram_like().serialized_ns(4, 3), 7 * 50);
     }
 
     #[test]

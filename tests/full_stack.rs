@@ -203,11 +203,12 @@ fn analysis_lost_blocks_match_device_reads_exactly() {
                 device_lost.push(meta);
             }
         }
-        // The bank-wide fast path reports coverage without block lists;
-        // compare block sets only when the slow path ran.
-        if !assessment.lost_meta_blocks.is_empty() || device_lost.is_empty() {
+        // The bank-wide closed form reports coverage without block
+        // lists; compare block sets only when the run engine ran.
+        if !assessment.lost_meta_runs.is_empty() || device_lost.is_empty() {
             assert_eq!(
-                assessment.lost_meta_blocks, device_lost,
+                assessment.lost_meta_blocks(),
+                device_lost,
                 "round {round}: analytic vs device disagreement"
             );
         }
