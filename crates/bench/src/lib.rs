@@ -138,15 +138,14 @@ mod tests {
         assert_eq!(env_u64("SOTERIA_SURELY_UNSET_VAR", 7), 7);
     }
 
+    /// Both states of `SOTERIA_CSV` in one test: the variable is
+    /// process-wide, so two tests setting it race on parallel threads.
     #[test]
-    fn csv_sink_disabled_without_env() {
+    fn csv_sink_follows_env() {
+        use std::io::Write;
         std::env::remove_var("SOTERIA_CSV");
         assert!(csv_sink("nope").is_none());
-    }
 
-    #[test]
-    fn csv_sink_writes_when_enabled() {
-        use std::io::Write;
         let dir = std::env::temp_dir().join("soteria_csv_test");
         std::env::set_var("SOTERIA_CSV", &dir);
         let mut f = csv_sink("probe").expect("sink");

@@ -280,7 +280,56 @@ pub enum JobSpec {
     },
 }
 
+/// Turns one kind's config body into its spec.
+type KindParser = fn(&Json) -> Result<JobSpec, String>;
+
+/// The job kinds a coordinator shards and a worker runs, each with its
+/// wire name and the parser of its config body: the one place a kind
+/// name becomes a spec ([`JobSpec::kind`] maps back).
+const KINDS: [(&str, KindParser); 3] = [
+    ("campaign", |body| {
+        config_from_json(body).map(JobSpec::Campaign)
+    }),
+    ("compare", |body| {
+        crate::compare::compare_config_from_json(body).map(JobSpec::Compare)
+    }),
+    ("crashck", |body| {
+        crate::crashck::crashck_config_from_json(body).map(JobSpec::Crashck)
+    }),
+];
+
+/// The kind names, comma-separated, for error messages.
+pub(crate) fn kind_names() -> String {
+    KINDS.map(|(name, _)| name).join(", ")
+}
+
 impl JobSpec {
+    /// Builds the job of kind `kind` from its config body, through the
+    /// kind's own config parser.
+    ///
+    /// # Errors
+    ///
+    /// `unknown kind '…' (campaign, compare, crashck)`, or the kind's
+    /// one-line config error.
+    pub fn from_kind(kind: &str, config: &Json) -> Result<JobSpec, String> {
+        let (_, parse) = KINDS
+            .iter()
+            .find(|(name, _)| *name == kind)
+            .ok_or_else(|| format!("unknown kind '{kind}' ({})", kind_names()))?;
+        parse(config)
+    }
+
+    /// The kind name [`JobSpec::from_kind`] takes for this job; a
+    /// `Blocks` shard reports the kind of the job it shards.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            JobSpec::Campaign(_) => "campaign",
+            JobSpec::Compare(_) => "compare",
+            JobSpec::Crashck(_) => "crashck",
+            JobSpec::Blocks { spec, .. } => spec.kind(),
+        }
+    }
+
     /// Worker threads the job will use.
     pub fn threads(&self) -> usize {
         match self {

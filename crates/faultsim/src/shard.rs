@@ -21,6 +21,7 @@
 //!   every string against the fixed campaign vocabulary, rejecting
 //!   anything a current worker could not have emitted.
 
+use soteria::policy::standard_schemes;
 use soteria_rt::json::Json;
 use soteria_rt::obs::{Field, TraceEvent};
 
@@ -31,7 +32,7 @@ use crate::compare::{merge_compare_blocks, run_compare_blocks, BlockAcc, Compare
 use crate::crashck::{
     intern_unit_names, merge_crashck_units, run_crashck_units, total_units, UnitResult,
 };
-use crate::job::{report_json, JobSpec, STANDARD_POLICIES};
+use crate::job::{kind_names, report_json, JobSpec, STANDARD_POLICIES};
 
 /// The partial-artifact schema version.
 pub const BLOCKS_SCHEMA: &str = "soteria-blocks/v1";
@@ -60,33 +61,24 @@ pub fn total_blocks(spec: &JobSpec) -> u64 {
 pub fn run_block_range(spec: &JobSpec, lo: u64, hi: u64) -> Json {
     let hi = hi.min(total_blocks(spec));
     let ids: Vec<u64> = (lo..hi).collect();
-    let (kind, blocks) = match spec {
-        JobSpec::Campaign(config) => (
-            "campaign",
-            run_campaign_blocks(config, &STANDARD_POLICIES, &ids)
-                .into_iter()
-                .map(|b| campaign_block_wire(&b))
-                .collect(),
-        ),
-        JobSpec::Compare(config) => (
-            "compare",
-            run_compare_blocks(config, &ids)
-                .into_iter()
-                .map(|b| compare_block_wire(&b))
-                .collect(),
-        ),
-        JobSpec::Crashck(config) => (
-            "crashck",
-            run_crashck_units(config, &ids)
-                .into_iter()
-                .map(|(i, r)| crashck_unit_wire(i, &r))
-                .collect(),
-        ),
+    let blocks = match spec {
+        JobSpec::Campaign(config) => run_campaign_blocks(config, &STANDARD_POLICIES, &ids)
+            .into_iter()
+            .map(|b| campaign_block_wire(&b))
+            .collect(),
+        JobSpec::Compare(config) => run_compare_blocks(config, &ids)
+            .into_iter()
+            .map(|b| compare_block_wire(&b))
+            .collect(),
+        JobSpec::Crashck(config) => run_crashck_units(config, &ids)
+            .into_iter()
+            .map(|(i, r)| crashck_unit_wire(i, &r))
+            .collect(),
         JobSpec::Blocks { spec, .. } => return run_block_range(spec, lo, hi),
     };
     Json::Obj(vec![
         ("schema".into(), Json::Str(BLOCKS_SCHEMA.into())),
-        ("kind".into(), Json::Str(kind.into())),
+        ("kind".into(), Json::Str(spec.kind().into())),
         ("lo".into(), u64_wire(lo)),
         ("hi".into(), u64_wire(hi)),
         ("blocks".into(), Json::Arr(blocks)),
@@ -107,12 +99,10 @@ pub fn run_block_range(spec: &JobSpec, lo: u64, hi: u64) -> Json {
 /// Returns a one-line message on a malformed partial, a kind mismatch,
 /// or incomplete block coverage.
 pub fn merge_partials(spec: &JobSpec, partials: &[Json]) -> Result<(String, String), String> {
-    let kind = match spec {
-        JobSpec::Campaign(_) => "campaign",
-        JobSpec::Compare(_) => "compare",
-        JobSpec::Crashck(_) => "crashck",
-        JobSpec::Blocks { spec, .. } => return merge_partials(spec, partials),
-    };
+    if let JobSpec::Blocks { spec, .. } = spec {
+        return merge_partials(spec, partials);
+    }
+    let kind = spec.kind();
     let mut raw: Vec<&Json> = Vec::new();
     for doc in partials {
         let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
@@ -420,10 +410,13 @@ fn compare_block_wire(b: &CompareBlock) -> Json {
 fn compare_block_unwire(obj: &Json) -> Result<CompareBlock, String> {
     let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
     let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
-    if sums.len() != hits.len() {
-        return Err("compare block's udr_sum and udr_hits lengths differ".into());
+    let schemes = standard_schemes().len();
+    if sums.len() != schemes || hits.len() != schemes {
+        return Err(format!(
+            "compare block must carry {schemes} per-scheme sums"
+        ));
     }
-    let mut acc = BlockAcc::new(sums.len());
+    let mut acc = BlockAcc::new(schemes);
     acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
     acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
     acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
@@ -513,7 +506,7 @@ pub fn blocks_spec_from_json(body: &Json) -> Result<JobSpec, String> {
     let kind = body
         .get("kind")
         .and_then(Json::as_str)
-        .ok_or("field 'kind' must be one of campaign, compare, crashck")?;
+        .ok_or_else(|| format!("field 'kind' must be one of {}", kind_names()))?;
     let range_int = |field: &str| -> Result<u64, String> {
         let v = body
             .get(field)
@@ -530,17 +523,7 @@ pub fn blocks_spec_from_json(body: &Json) -> Result<JobSpec, String> {
         return Err("field 'hi' must be greater than 'lo'".into());
     }
     let default = Json::Obj(Vec::new());
-    let config = body.get("config").unwrap_or(&default);
-    let inner = match kind {
-        "campaign" => JobSpec::Campaign(crate::job::config_from_json(config)?),
-        "compare" => JobSpec::Compare(crate::compare::compare_config_from_json(config)?),
-        "crashck" => JobSpec::Crashck(crate::crashck::crashck_config_from_json(config)?),
-        other => {
-            return Err(format!(
-                "unknown kind '{other}' (campaign, compare, crashck)"
-            ))
-        }
-    };
+    let inner = JobSpec::from_kind(kind, body.get("config").unwrap_or(&default))?;
     if hi > total_blocks(&inner) {
         return Err(format!(
             "field 'hi' exceeds the job's {} blocks",
@@ -650,6 +633,33 @@ mod tests {
         assert!(intern("campaign").is_ok());
         let err = intern("stdout").unwrap_err();
         assert!(err.contains("stdout"), "{err}");
+    }
+
+    #[test]
+    fn merge_rejects_compare_blocks_with_a_different_roster() {
+        // Workers' partials arrive from the network: a block whose
+        // per-scheme arrays are shorter or longer than the registry must
+        // be an error, never an index past the end in the merge.
+        let spec = JobSpec::Compare(CompareConfig {
+            iterations: 64,
+            ..CompareConfig::default()
+        });
+        for schemes in [0, 8, 10] {
+            let block = CompareBlock {
+                block: 0,
+                acc: BlockAcc::new(schemes),
+            };
+            let partial = Json::Obj(vec![
+                ("schema".into(), Json::Str(BLOCKS_SCHEMA.into())),
+                ("kind".into(), Json::Str("compare".into())),
+                ("blocks".into(), Json::Arr(vec![compare_block_wire(&block)])),
+            ]);
+            let err = merge_partials(&spec, &[partial]).unwrap_err();
+            assert_eq!(
+                err, "compare block must carry 9 per-scheme sums",
+                "{schemes} schemes"
+            );
+        }
     }
 
     #[test]

@@ -24,25 +24,28 @@
 //!   keeps whichever copy landed first.
 //!
 //! The coordinator also serves a small control plane: worker
-//! registration, fleet status, and per-worker Prometheus gauges.
+//! registration, fleet status, and per-worker Prometheus gauges. It runs
+//! on the same reactor as the job server (the private `nio` module), so
+//! a stalled client never holds up a registration.
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use soteria_faultsim::{
-    compare_config_from_json, config_from_json, crashck_config_from_json, merge_partials,
-    total_blocks, JobSpec,
-};
+use soteria_faultsim::{merge_partials, total_blocks, JobSpec};
 use soteria_rt::json::Json;
+use soteria_rt::obs::Timer;
 
 use crate::client::{self, ClientConfig};
 use crate::error::SvcError;
-use crate::http::{self, ReadLimits};
+use crate::http::{method_not_allowed, ReadLimits, Request, Response};
+use crate::nio::{self, Plane};
+
+/// How long a control-plane request may stall before its `408`.
+const CONTROL_READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Tunables for a [`Coordinator`]. Defaults suit tests and localhost
 /// fleets; `soteria coordinate` exposes them as flags.
@@ -377,7 +380,7 @@ impl Coordinator {
     /// A one-line message when the config is invalid, no worker ever
     /// registers, or every worker dies before coverage completes.
     pub fn run(self, kind: &str, config_body: &Json) -> Result<(String, String), String> {
-        let spec = parse_spec(kind, config_body)?;
+        let spec = JobSpec::from_kind(kind, config_body)?;
         let total = total_blocks(&spec);
         let shared = &*self.shared;
         let config = &self.config;
@@ -385,9 +388,16 @@ impl Coordinator {
             let mut st = shared.state.lock().unwrap();
             st.scheduler = Some(BlockScheduler::new(total));
         }
-        let stop = AtomicBool::new(false);
         let outcome: Result<Vec<Json>, String> = thread::scope(|s| {
-            s.spawn(|| control_loop(&self.listener, shared, &stop));
+            // Serves until `finished`, so late scrapes still answer.
+            s.spawn(|| {
+                nio::event_loop(
+                    &self.listener,
+                    &ReadLimits::default(),
+                    CONTROL_READ_TIMEOUT,
+                    shared,
+                )
+            });
 
             // Wait for the starting quorum.
             let deadline = Instant::now() + config.register_timeout;
@@ -406,7 +416,6 @@ impl Coordinator {
                 }
                 if st.workers.is_empty() {
                     st.finished = true;
-                    stop.store(true, Ordering::Relaxed);
                     return Err(format!(
                         "no worker registered within {:?}",
                         config.register_timeout
@@ -450,25 +459,12 @@ impl Coordinator {
                     .unwrap();
                 drop(next);
             };
+            // Drivers observe `finished` and exit.
             shared.changed.notify_all();
-            // Drivers observe `finished` and exit; the control loop runs
-            // until `stop` so late scrapes during shutdown still answer.
-            stop.store(true, Ordering::Relaxed);
             result
         });
         let partials = outcome?;
         merge_partials(&spec, &partials)
-    }
-}
-
-/// Parses a job `kind` + config body into the (non-`Blocks`) spec the
-/// coordinator shards and merges.
-fn parse_spec(kind: &str, config_body: &Json) -> Result<JobSpec, String> {
-    match kind {
-        "campaign" => Ok(JobSpec::Campaign(config_from_json(config_body)?)),
-        "compare" => Ok(JobSpec::Compare(compare_config_from_json(config_body)?)),
-        "crashck" => Ok(JobSpec::Crashck(crashck_config_from_json(config_body)?)),
-        other => Err(format!("unknown kind '{other}' (campaign, compare, crashck)")),
     }
 }
 
@@ -627,121 +623,62 @@ fn run_range_on_worker(
     result.json().map_err(rpc_error)
 }
 
-/// The control-plane accept loop: registration, status, metrics.
-fn control_loop(listener: &TcpListener, shared: &FleetShared, stop: &AtomicBool) {
-    let limits = ReadLimits::default();
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                let _ = handle_control(&mut stream, shared, &limits);
+impl Plane for FleetShared {
+    fn route(&self, req: &Request) -> Result<Response, SvcError> {
+        match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => Ok(Response::ok("text/plain; charset=utf-8", b"ok\n".to_vec())),
+            ("GET", "/metrics") => {
+                let text = render_metrics(&self.state.lock().unwrap());
+                Ok(Response::ok("text/plain; version=0.0.4", text.into_bytes()))
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(25));
+            ("POST", "/v1/fleet/register") => {
+                let id = register_from_request(&req.body, self)?;
+                let body = Json::Obj(vec![("worker".into(), Json::Num(id as f64))]);
+                Ok(Response::json(200, "OK", body))
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => break,
+            ("GET", "/v1/fleet") => {
+                let status = render_status(&self.state.lock().unwrap());
+                Ok(Response::json(200, "OK", status))
+            }
+            (_, "/healthz" | "/metrics" | "/v1/fleet") => Err(method_not_allowed(req, "GET")),
+            (_, "/v1/fleet/register") => Err(method_not_allowed(req, "POST")),
+            (_, path) => Err(SvcError::NotFound(format!("no route for '{path}'"))),
         }
+    }
+
+    /// The control plane keeps no per-request metrics.
+    fn record(&self, _path: &str, _status: u16, _timer: Timer) {}
+
+    fn stop(&self) -> bool {
+        self.state.lock().unwrap().finished
     }
 }
 
-fn handle_control(
-    stream: &mut TcpStream,
-    shared: &FleetShared,
-    limits: &ReadLimits,
-) -> io::Result<()> {
-    let req = match http::read_request(stream, limits) {
-        Ok(req) => req,
-        Err(err) => return http::write_error(stream, &err),
-    };
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => http::write_response(
-            stream,
-            200,
-            "OK",
-            "text/plain; charset=utf-8",
-            &[],
-            b"ok\n",
-        ),
-        ("GET", "/metrics") => {
-            let st = shared.state.lock().unwrap();
-            let text = render_metrics(&st);
-            drop(st);
-            http::write_response(
-                stream,
-                200,
-                "OK",
-                "text/plain; version=0.0.4",
-                &[],
-                text.as_bytes(),
-            )
-        }
-        ("POST", "/v1/fleet/register") => {
-            let outcome = register_from_request(&req.body, shared);
-            match outcome {
-                Ok(id) => {
-                    let body = Json::Obj(vec![("worker".into(), Json::Num(id as f64))])
-                        .to_pretty_string();
-                    http::write_response(
-                        stream,
-                        200,
-                        "OK",
-                        "application/json",
-                        &[],
-                        body.as_bytes(),
-                    )
-                }
-                Err(err) => http::write_error(stream, &err),
-            }
-        }
-        ("GET", "/v1/fleet") => {
-            let st = shared.state.lock().unwrap();
-            let workers: Vec<Json> = st
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(id, w)| {
-                    Json::Obj(vec![
-                        ("worker".into(), Json::Num(id as f64)),
-                        ("addr".into(), Json::Str(w.addr.clone())),
-                        ("alive".into(), Json::Bool(w.alive)),
-                        ("blocks_done".into(), Json::Num(w.blocks_done as f64)),
-                    ])
-                })
-                .collect();
-            let (done, total) = match &st.scheduler {
-                Some(s) => (s.done_blocks(), s.total()),
-                None => (0, 0),
-            };
-            let body = Json::Obj(vec![
-                ("workers".into(), Json::Arr(workers)),
-                ("blocks_done".into(), Json::Num(done as f64)),
-                ("blocks_total".into(), Json::Num(total as f64)),
-                ("finished".into(), Json::Bool(st.finished)),
+/// The `GET /v1/fleet` document: per-worker state and block progress.
+fn render_status(state: &FleetState) -> Json {
+    let workers: Vec<Json> = state
+        .workers
+        .iter()
+        .enumerate()
+        .map(|(id, w)| {
+            Json::Obj(vec![
+                ("worker".into(), Json::Num(id as f64)),
+                ("addr".into(), Json::Str(w.addr.clone())),
+                ("alive".into(), Json::Bool(w.alive)),
+                ("blocks_done".into(), Json::Num(w.blocks_done as f64)),
             ])
-            .to_pretty_string();
-            drop(st);
-            http::write_response(stream, 200, "OK", "application/json", &[], body.as_bytes())
-        }
-        (_, "/healthz" | "/metrics" | "/v1/fleet") => http::write_error(
-            stream,
-            &SvcError::MethodNotAllowed {
-                method: req.method.clone(),
-                allowed: "GET",
-            },
-        ),
-        (_, "/v1/fleet/register") => http::write_error(
-            stream,
-            &SvcError::MethodNotAllowed {
-                method: req.method.clone(),
-                allowed: "POST",
-            },
-        ),
-        (_, path) => {
-            http::write_error(stream, &SvcError::NotFound(format!("no route for '{path}'")))
-        }
-    }
+        })
+        .collect();
+    let (done, total) = match &state.scheduler {
+        Some(s) => (s.done_blocks(), s.total()),
+        None => (0, 0),
+    };
+    Json::Obj(vec![
+        ("workers".into(), Json::Arr(workers)),
+        ("blocks_done".into(), Json::Num(done as f64)),
+        ("blocks_total".into(), Json::Num(total as f64)),
+        ("finished".into(), Json::Bool(state.finished)),
+    ])
 }
 
 fn register_from_request(body: &[u8], shared: &FleetShared) -> Result<usize, SvcError> {

@@ -1,20 +1,18 @@
 //! A minimal HTTP/1.1 wire layer.
 //!
-//! Only the subset the campaign service needs: one request per
-//! connection (`Connection: close`), `Content-Length` bodies, hard
-//! limits on header-section and body size, and a read timeout mapped to
-//! [`SvcError::RequestTimeout`]. Anything outside that subset is a
-//! [`SvcError::BadRequest`].
+//! Only the subset the campaign service and the fleet control plane
+//! need: one request per connection (`Connection: close`),
+//! `Content-Length` bodies, and hard limits on header-section and body
+//! size. Anything outside that subset is a [`SvcError::BadRequest`].
 //!
-//! The parser itself is incremental and transport-free:
-//! [`parse_request`] consumes a byte buffer and either yields a complete
-//! request, asks for more bytes, or fails with the pinned error. Both
-//! the blocking [`read_request`] path (used by the fleet control plane)
-//! and the non-blocking reactor server are thin transports over it, so
-//! the two paths cannot drift apart.
+//! The layer is transport-free: [`parse_request`] consumes a byte buffer
+//! and either yields a complete request, asks for more bytes, or fails
+//! with the pinned error, and `Response` renders the reply. The one
+//! transport is the reactor in the private `nio` module, which adds the
+//! read timeout ([`SvcError::RequestTimeout`]) and the bounded drain
+//! before a `413`.
 
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use soteria_rt::json::Json;
 
 use crate::error::SvcError;
 
@@ -58,18 +56,6 @@ impl Request {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| v.as_str())
-    }
-}
-
-fn timeout_kind(kind: io::ErrorKind) -> bool {
-    matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
-}
-
-fn map_io(err: io::Error) -> SvcError {
-    if timeout_kind(err.kind()) {
-        SvcError::RequestTimeout
-    } else {
-        SvcError::BadRequest(format!("connection error while reading request: {err}"))
     }
 }
 
@@ -143,7 +129,7 @@ fn body_length(request: &Request, limits: &ReadLimits) -> Result<usize, SvcError
 /// Returns `Ok(Some((request, consumed)))` once a complete request is
 /// buffered (`consumed` bytes belong to it), `Ok(None)` when more bytes
 /// are needed, and the pinned [`SvcError`] on oversized or malformed
-/// input. Transport-free: both the blocking and reactor paths call this.
+/// input.
 pub fn parse_request(buf: &[u8], limits: &ReadLimits) -> Result<Option<(Request, usize)>, SvcError> {
     let Some(head_end) = find_head_end(buf) else {
         if buf.len() >= limits.max_head_bytes {
@@ -181,112 +167,82 @@ pub fn drain_budget(buf: &[u8]) -> usize {
         .unwrap_or(0)
 }
 
-/// Reads and parses one request from `stream`, enforcing `limits`.
-///
-/// The caller sets the stream's read timeout; a timeout while bytes are
-/// still owed maps to [`SvcError::RequestTimeout`], an oversized head or
-/// body to [`SvcError::PayloadTooLarge`], and malformed framing to
-/// [`SvcError::BadRequest`].
-pub fn read_request(stream: &mut TcpStream, limits: &ReadLimits) -> Result<Request, SvcError> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(&buf, limits) {
-            Ok(Some((request, _consumed))) => return Ok(request),
-            Ok(None) => {}
-            Err(err @ SvcError::PayloadTooLarge { what: "body", .. }) => {
-                // Best-effort drain (bounded) so closing the socket after
-                // the 413 doesn't RST the connection before the client
-                // reads it. Budget: the declared body minus what is
-                // already buffered, capped at 1 MiB.
-                let mut left = drain_budget(&buf).min(1 << 20);
-                while left > 0 {
-                    let take = chunk.len().min(left);
-                    match stream.read(&mut chunk[..take]) {
-                        Ok(0) | Err(_) => break,
-                        Ok(n) => left -= n,
-                    }
-                }
-                return Err(err);
-            }
-            Err(err) => return Err(err),
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(SvcError::BadRequest(
-                    "connection closed before the request was complete".into(),
-                ))
-            }
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) => return Err(map_io(e)),
-        }
+/// The `405` for a request whose path exists under another method.
+pub(crate) fn method_not_allowed(req: &Request, allowed: &'static str) -> SvcError {
+    SvcError::MethodNotAllowed {
+        method: req.method.clone(),
+        allowed,
     }
 }
 
-/// Renders one `Connection: close` response to wire bytes.
-///
-/// `extra_headers` come after the standard set; `Content-Length` is
-/// always derived from `body`.
-pub fn render_response(
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-) -> Vec<u8> {
-    let mut head = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
-        body.len()
-    );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
+/// One routed reply, rendered by [`Response::to_wire`].
+pub(crate) struct Response {
+    pub(crate) status: u16,
+    reason: &'static str,
+    content_type: &'static str,
+    extra: Vec<(&'static str, String)>,
+    body: Vec<u8>,
+}
+
+impl Response {
+    /// A `200 OK` carrying `body` as `content_type`.
+    pub(crate) fn ok(content_type: &'static str, body: Vec<u8>) -> Response {
+        Response {
+            status: 200,
+            reason: "OK",
+            content_type,
+            extra: Vec::new(),
+            body,
+        }
+    }
+
+    /// A pretty-printed JSON reply.
+    pub(crate) fn json(status: u16, reason: &'static str, value: Json) -> Response {
+        Response {
+            status,
+            reason,
+            content_type: "application/json",
+            extra: Vec::new(),
+            body: value.to_pretty_string().into_bytes(),
+        }
+    }
+
+    /// The error reply for `err`: a JSON body with the pinned one-line
+    /// message, plus `Retry-After` for queue-full rejections.
+    pub(crate) fn error(err: &SvcError) -> Response {
+        let (status, reason) = err.status();
+        let mut response = Response::json(
+            status,
+            reason,
+            Json::Obj(vec![("error".into(), Json::Str(err.to_string()))]),
+        );
+        if let SvcError::QueueFull { retry_after_secs } = err {
+            response
+                .extra
+                .push(("Retry-After", retry_after_secs.to_string()));
+        }
+        response
+    }
+
+    /// Renders the `Connection: close` wire bytes: the standard headers,
+    /// then `extra`; `Content-Length` is always derived from `body`.
+    pub(crate) fn to_wire(&self) -> Vec<u8> {
+        let mut head = format!(
+            "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
+            self.status,
+            self.reason,
+            self.content_type,
+            self.body.len()
+        );
+        for (name, value) in &self.extra {
+            head.push_str(name);
+            head.push_str(": ");
+            head.push_str(value);
+            head.push_str("\r\n");
+        }
         head.push_str("\r\n");
+        let mut wire = head.into_bytes();
+        wire.extend_from_slice(&self.body);
+        wire
     }
-    head.push_str("\r\n");
-    let mut wire = head.into_bytes();
-    wire.extend_from_slice(body);
-    wire
-}
-
-/// Renders the error response for `err`: a JSON body with the pinned
-/// one-line message, plus `Retry-After` for queue-full rejections.
-pub fn render_error(err: &SvcError) -> Vec<u8> {
-    let (status, reason) = err.status();
-    let body = soteria_rt::json::Json::Obj(vec![(
-        "error".into(),
-        soteria_rt::json::Json::Str(err.to_string()),
-    )])
-    .to_pretty_string();
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    if let SvcError::QueueFull { retry_after_secs } = err {
-        extra.push(("Retry-After", retry_after_secs.to_string()));
-    }
-    render_response(status, reason, "application/json", &extra, body.as_bytes())
-}
-
-/// Writes one `Connection: close` response and flushes it.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra_headers: &[(&str, String)],
-    body: &[u8],
-) -> io::Result<()> {
-    stream.write_all(&render_response(
-        status,
-        reason,
-        content_type,
-        extra_headers,
-        body,
-    ))?;
-    stream.flush()
-}
-
-/// Writes the error response for `err` and flushes it.
-pub fn write_error(stream: &mut TcpStream, err: &SvcError) -> io::Result<()> {
-    stream.write_all(&render_error(err))?;
-    stream.flush()
 }

@@ -1,15 +1,17 @@
-//! The non-blocking connection engine: one reactor thread drives every
-//! connection through read → route → write, so idle sockets cost a
-//! buffer instead of a thread.
+//! The connection engine behind both HTTP planes, the job server and
+//! the fleet coordinator's control plane: one reactor thread drives
+//! every connection through read → route → write, so an idle or stalled
+//! socket costs a buffer instead of a thread and never holds up another
+//! client.
 //!
-//! Rehosts the exact same pieces the original thread-per-connection
-//! listener used — [`crate::http::parse_request`] for framing,
-//! [`crate::server`]'s `route` for semantics, the shared bounded queue
-//! and worker pool for execution — on [`soteria_rt::reactor::Poller`]
-//! (epoll on Linux, `poll(2)` elsewhere). Campaign execution stays on
-//! the worker pool; the reactor only parses, routes, and shuttles
-//! bytes, so a submit is accepted or shed in microseconds even while
-//! thousands of connections are parked.
+//! A plane plugs in through [`Plane`]: it routes a parsed request, books
+//! each settled request, and says when to stop. Framing is
+//! [`crate::http::parse_request`] and rendering is `Response::to_wire`,
+//! on [`soteria_rt::reactor::Poller`] (epoll on Linux, `poll(2)`
+//! elsewhere). The job server's campaigns run on its worker pool; the
+//! reactor only parses, routes, and shuttles bytes, so a submit is
+//! accepted or shed in microseconds even while thousands of connections
+//! are parked.
 //!
 //! Per-connection lifecycle:
 //!
@@ -19,9 +21,10 @@
 //!             \--deadline--> 408 → Writing → close
 //! ```
 //!
-//! Error semantics (pinned strings, 408/413 mapping, bounded drain
-//! before a 413, metrics increments) are identical to the blocking
-//! path the integration suite was written against.
+//! Error semantics are the same on both planes: pinned strings, a `408`
+//! once reads stop making progress for the read timeout, a bounded drain
+//! of the declared body before a `413`, and a `400` for a request cut
+//! short.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -32,13 +35,24 @@ use soteria_rt::obs::Timer;
 use soteria_rt::reactor::{Event, Interest, Poller};
 
 use crate::error::SvcError;
-use crate::http::{drain_budget, parse_request, render_error, render_response};
-use crate::server::{latency_metric, route, Response, ServerConfig, Shared};
+use crate::http::{drain_budget, parse_request, ReadLimits, Request, Response};
+
+/// One HTTP plane, as [`event_loop`] serves it.
+pub(crate) trait Plane {
+    /// Answers one parsed request.
+    fn route(&self, req: &Request) -> Result<Response, SvcError>;
+    /// Books one settled request: its routed path (`/` when it never
+    /// parsed), its status, and a timer started at accept.
+    fn record(&self, path: &str, status: u16, timer: Timer);
+    /// Whether to stop accepting; the loop returns once every open
+    /// connection has settled.
+    fn stop(&self) -> bool;
+}
 
 /// The poller key reserved for the listening socket.
 const LISTENER_KEY: u64 = u64::MAX;
 
-/// Upper bound on one poll wait, so drain progress is noticed promptly.
+/// Upper bound on one poll wait, so a stop is noticed promptly.
 const TICK: Duration = Duration::from_millis(25);
 
 const READ_CHUNK: usize = 16 * 1024;
@@ -69,8 +83,7 @@ struct Conn {
     out: Vec<u8>,
     written: usize,
     /// Reads must make progress before this instant or the request
-    /// times out (refreshed on every received chunk, mirroring the
-    /// per-read timeout of the blocking path).
+    /// times out (refreshed on every received chunk).
     deadline: Instant,
     timer: Option<Timer>,
     phase: Phase,
@@ -106,50 +119,32 @@ impl Conn {
         }
     }
 
-    /// Records metrics for the settled request, renders the response,
-    /// and starts writing it. `path` is the routed request path, or
-    /// `/` when the request never parsed (matching the blocking path).
+    /// Books the settled request, renders the response, and starts
+    /// writing it. `path` is the routed request path, or `/` when the
+    /// request never parsed.
     fn respond(
         &mut self,
-        shared: &Shared,
+        plane: &dyn Plane,
         path: &str,
         outcome: Result<Response, SvcError>,
     ) -> Next {
-        let status = match &outcome {
-            Ok(resp) => resp.status,
-            Err(err) => err.status().0,
-        };
-        {
-            let mut st = shared.state.lock().unwrap();
-            st.metrics.inc("requests_total", 1);
-            if status == 429 {
-                st.metrics.inc("rejected{code=\"429\"}", 1);
-            }
-            if let Some(timer) = self.timer.take() {
-                st.metrics.observe_timer(latency_metric(path), timer);
-            }
+        let response = outcome.unwrap_or_else(|err| Response::error(&err));
+        if let Some(timer) = self.timer.take() {
+            plane.record(path, response.status, timer);
         }
-        self.out = match outcome {
-            Ok(resp) => render_response(
-                resp.status,
-                resp.reason,
-                resp.content_type,
-                &resp
-                    .extra
-                    .iter()
-                    .map(|(n, v)| (*n, v.clone()))
-                    .collect::<Vec<_>>(),
-                &resp.body,
-            ),
-            Err(err) => render_error(&err),
-        };
+        self.out = response.to_wire();
         self.written = 0;
         self.phase = Phase::Writing;
         self.flush()
     }
 
     /// A readable event while accumulating the request.
-    fn on_reading(&mut self, shared: &Shared, config: &ServerConfig) -> Next {
+    fn on_reading(
+        &mut self,
+        plane: &dyn Plane,
+        limits: &ReadLimits,
+        read_timeout: Duration,
+    ) -> Next {
         let mut chunk = [0u8; READ_CHUNK];
         let mut closed = false;
         loop {
@@ -160,7 +155,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     self.buf.extend_from_slice(&chunk[..n]);
-                    self.deadline = Instant::now() + config.read_timeout;
+                    self.deadline = Instant::now() + read_timeout;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -170,13 +165,13 @@ impl Conn {
                 }
             }
         }
-        match parse_request(&self.buf, &config.limits) {
+        match parse_request(&self.buf, limits) {
             Ok(Some((request, _consumed))) => {
-                let outcome = route(shared, config, &request);
-                self.respond(shared, &request.path, outcome)
+                let outcome = plane.route(&request);
+                self.respond(plane, &request.path, outcome)
             }
             Ok(None) if closed => self.respond(
-                shared,
+                plane,
                 "/",
                 Err(SvcError::BadRequest(
                     "connection closed before the request was complete".into(),
@@ -186,19 +181,19 @@ impl Conn {
             Err(err @ SvcError::PayloadTooLarge { what: "body", .. }) => {
                 let budget = drain_budget(&self.buf).min(1 << 20);
                 if budget == 0 || closed {
-                    self.respond(shared, "/", Err(err))
+                    self.respond(plane, "/", Err(err))
                 } else {
                     self.buf.clear();
                     self.phase = Phase::DrainingBody { budget, err };
                     Next::Keep
                 }
             }
-            Err(err) => self.respond(shared, "/", Err(err)),
+            Err(err) => self.respond(plane, "/", Err(err)),
         }
     }
 
     /// A readable event while discarding an oversized body.
-    fn on_draining(&mut self, shared: &Shared, config: &ServerConfig) -> Next {
+    fn on_draining(&mut self, plane: &dyn Plane, read_timeout: Duration) -> Next {
         let mut chunk = [0u8; READ_CHUNK];
         let mut settle = false;
         loop {
@@ -213,7 +208,7 @@ impl Conn {
                 Ok(0) => settle = true,
                 Ok(n) => {
                     *budget -= n;
-                    self.deadline = Instant::now() + config.read_timeout;
+                    self.deadline = Instant::now() + read_timeout;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Next::Keep,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -225,14 +220,14 @@ impl Conn {
         else {
             return Next::Keep;
         };
-        self.respond(shared, "/", Err(err))
+        self.respond(plane, "/", Err(err))
     }
 
     /// The deadline passed without a complete request.
-    fn on_deadline(&mut self, shared: &Shared) -> Next {
+    fn on_deadline(&mut self, plane: &dyn Plane) -> Next {
         match std::mem::replace(&mut self.phase, Phase::Writing) {
-            Phase::Reading => self.respond(shared, "/", Err(SvcError::RequestTimeout)),
-            Phase::DrainingBody { err, .. } => self.respond(shared, "/", Err(err)),
+            Phase::Reading => self.respond(plane, "/", Err(SvcError::RequestTimeout)),
+            Phase::DrainingBody { err, .. } => self.respond(plane, "/", Err(err)),
             Phase::Writing => Next::Keep,
         }
     }
@@ -242,7 +237,7 @@ impl Conn {
 /// has failed fatally.
 fn accept_all(
     listener: &TcpListener,
-    config: &ServerConfig,
+    read_timeout: Duration,
     poller: &mut Poller,
     conns: &mut Vec<Option<Conn>>,
 ) -> bool {
@@ -252,7 +247,7 @@ fn accept_all(
                 if stream.set_nonblocking(true).is_err() {
                     continue;
                 }
-                let conn = Conn::new(stream, config.read_timeout);
+                let conn = Conn::new(stream, read_timeout);
                 let fd = conn.stream.as_raw_fd();
                 let slot = match conns.iter().position(|c| c.is_none()) {
                     Some(i) => i,
@@ -291,38 +286,37 @@ fn settle_interest(poller: &mut Poller, conns: &[Option<Conn>], slot: usize) {
     }
 }
 
-/// Runs the reactor until a drain completes: accepts, parses, routes,
-/// and writes on one thread; job execution stays on the worker pool.
-pub(crate) fn event_loop(listener: &TcpListener, config: &ServerConfig, shared: &Shared) {
-    let mut poller = match Poller::new() {
-        Ok(p) => p,
-        Err(_) => {
-            shared.begin_drain();
-            return;
-        }
+/// Serves `plane` on `listener` until [`Plane::stop`] (or a listener
+/// failure) ends accepting and every open connection has settled.
+/// Returns at once when the poller cannot be set up.
+pub(crate) fn event_loop(
+    listener: &TcpListener,
+    limits: &ReadLimits,
+    read_timeout: Duration,
+    plane: &dyn Plane,
+) {
+    let Ok(mut poller) = Poller::new() else {
+        return;
     };
     if poller
         .register(listener.as_raw_fd(), LISTENER_KEY, Interest::Read)
         .is_err()
     {
-        shared.begin_drain();
         return;
     }
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut accepting = true;
     loop {
-        if shared.drained() {
-            if accepting {
-                let _ = poller.deregister(listener.as_raw_fd());
-                accepting = false;
-            }
-            if conns.iter().all(|c| c.is_none()) {
-                break;
-            }
+        if accepting && plane.stop() {
+            let _ = poller.deregister(listener.as_raw_fd());
+            accepting = false;
+        }
+        if !accepting && conns.iter().all(|c| c.is_none()) {
+            break;
         }
         // Wait no longer than the soonest connection deadline (or one
-        // tick, so a drain initiated elsewhere is noticed).
+        // tick, so a stop requested elsewhere is noticed).
         let now = Instant::now();
         let mut timeout = TICK;
         for conn in conns.iter().flatten() {
@@ -336,9 +330,8 @@ pub(crate) fn event_loop(listener: &TcpListener, config: &ServerConfig, shared: 
         }
         for &ev in &events {
             if ev.key == LISTENER_KEY {
-                if accepting && !accept_all(listener, config, &mut poller, &mut conns) {
-                    // Listener died: drain what was accepted and exit.
-                    shared.begin_drain();
+                if accepting && !accept_all(listener, read_timeout, &mut poller, &mut conns) {
+                    // Listener died: settle what was accepted and return.
                     let _ = poller.deregister(listener.as_raw_fd());
                     accepting = false;
                 }
@@ -356,8 +349,8 @@ pub(crate) fn event_loop(listener: &TcpListener, config: &ServerConfig, shared: 
                         Next::Keep
                     }
                 }
-                Phase::Reading => conn.on_reading(shared, config),
-                Phase::DrainingBody { .. } => conn.on_draining(shared, config),
+                Phase::Reading => conn.on_reading(plane, limits, read_timeout),
+                Phase::DrainingBody { .. } => conn.on_draining(plane, read_timeout),
             };
             match next {
                 Next::Close => close(&mut poller, &mut conns, slot),
@@ -373,7 +366,7 @@ pub(crate) fn event_loop(listener: &TcpListener, config: &ServerConfig, shared: 
             if matches!(conn.phase, Phase::Writing) || now < conn.deadline {
                 continue;
             }
-            match conn.on_deadline(shared) {
+            match conn.on_deadline(plane) {
                 Next::Close => close(&mut poller, &mut conns, slot),
                 Next::Keep => settle_interest(&mut poller, &conns, slot),
             }

@@ -1,6 +1,6 @@
 //! The campaign service: a bounded job queue feeding a fixed worker
-//! pool, fronted by a single-threaded non-blocking HTTP/1.1 reactor
-//! (see the private `nio` module).
+//! pool, fronted by the single-threaded non-blocking HTTP/1.1 reactor
+//! of the private `nio` module.
 //!
 //! # Endpoints
 //!
@@ -34,15 +34,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
 
-use soteria_faultsim::{
-    blocks_spec_from_json, compare_config_from_json, config_from_json, crashck_config_from_json,
-    run_spec, JobSpec,
-};
+use soteria_faultsim::{blocks_spec_from_json, run_spec, JobSpec};
 use soteria_rt::json::Json;
-use soteria_rt::obs::Metrics;
+use soteria_rt::obs::{Metrics, Timer};
 
 use crate::error::SvcError;
-use crate::http::{ReadLimits, Request};
+use crate::http::{method_not_allowed, ReadLimits, Request, Response};
+use crate::nio::{self, Plane};
 
 /// Tunables for [`Server::bind`]. The defaults suit tests and small
 /// deployments; `soteria serve` exposes them as flags.
@@ -105,26 +103,26 @@ struct Job {
     error: Option<String>,
 }
 
-pub(crate) struct State {
+struct State {
     queue: VecDeque<usize>,
     jobs: Vec<Job>,
     in_flight: usize,
     draining: bool,
-    pub(crate) metrics: Metrics,
+    metrics: Metrics,
 }
 
-pub(crate) struct Shared {
-    pub(crate) state: Mutex<State>,
+struct Shared {
+    state: Mutex<State>,
     job_ready: Condvar,
 }
 
 impl Shared {
-    pub(crate) fn drained(&self) -> bool {
+    fn drained(&self) -> bool {
         let st = self.state.lock().unwrap();
         st.draining && st.queue.is_empty() && st.in_flight == 0
     }
 
-    pub(crate) fn begin_drain(&self) {
+    fn begin_drain(&self) {
         self.state.lock().unwrap().draining = true;
         self.job_ready.notify_all();
     }
@@ -227,10 +225,30 @@ impl Server {
             for _ in 0..config.workers.max(1) {
                 s.spawn(move || worker_loop(shared));
             }
-            crate::nio::event_loop(&self.listener, config, shared);
-            // Release any worker parked on the condvar.
-            shared.job_ready.notify_all();
+            nio::event_loop(&self.listener, &config.limits, config.read_timeout, &self);
+            // Also reached when the listener or poller failed: the
+            // workers finish the queue, then leave their condvar.
+            shared.begin_drain();
         });
+    }
+}
+
+impl Plane for Server {
+    fn route(&self, req: &Request) -> Result<Response, SvcError> {
+        route(&self.shared, &self.config, req)
+    }
+
+    fn record(&self, path: &str, status: u16, timer: Timer) {
+        let mut st = self.shared.state.lock().unwrap();
+        st.metrics.inc("requests_total", 1);
+        if status == 429 {
+            st.metrics.inc("rejected{code=\"429\"}", 1);
+        }
+        st.metrics.observe_timer(latency_metric(path), timer);
+    }
+
+    fn stop(&self) -> bool {
+        self.shared.drained()
     }
 }
 
@@ -280,7 +298,7 @@ fn worker_loop(shared: &Shared) {
 /// The endpoint label used in per-endpoint latency metric names. The
 /// `Metrics` registry keys on `&'static str`, so the Prometheus label
 /// pair is baked into the name and split back out at render time.
-pub(crate) fn latency_metric(path: &str) -> &'static str {
+fn latency_metric(path: &str) -> &'static str {
     if path == "/healthz" {
         "latency_ns{endpoint=\"healthz\"}"
     } else if path == "/metrics" {
@@ -302,39 +320,9 @@ pub(crate) fn latency_metric(path: &str) -> &'static str {
     }
 }
 
-pub(crate) struct Response {
-    pub(crate) status: u16,
-    pub(crate) reason: &'static str,
-    pub(crate) content_type: &'static str,
-    pub(crate) extra: Vec<(&'static str, String)>,
-    pub(crate) body: Vec<u8>,
-}
-
-impl Response {
-    fn json(status: u16, reason: &'static str, value: Json) -> Response {
-        Response {
-            status,
-            reason,
-            content_type: "application/json",
-            extra: Vec::new(),
-            body: value.to_pretty_string().into_bytes(),
-        }
-    }
-}
-
-pub(crate) fn route(
-    shared: &Shared,
-    config: &ServerConfig,
-    req: &Request,
-) -> Result<Response, SvcError> {
+fn route(shared: &Shared, config: &ServerConfig, req: &Request) -> Result<Response, SvcError> {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Ok(Response {
-            status: 200,
-            reason: "OK",
-            content_type: "text/plain; charset=utf-8",
-            extra: Vec::new(),
-            body: b"ok\n".to_vec(),
-        }),
+        ("GET", "/healthz") => Ok(Response::ok("text/plain; charset=utf-8", b"ok\n".to_vec())),
         (_, "/healthz") => Err(method_not_allowed(req, "GET")),
         ("GET", "/metrics") => Ok(metrics_response(shared)),
         (_, "/metrics") => Err(method_not_allowed(req, "GET")),
@@ -361,13 +349,6 @@ pub(crate) fn route(
     }
 }
 
-fn method_not_allowed(req: &Request, allowed: &'static str) -> SvcError {
-    SvcError::MethodNotAllowed {
-        method: req.method.clone(),
-        allowed,
-    }
-}
-
 fn submit_job(
     shared: &Shared,
     config: &ServerConfig,
@@ -389,11 +370,10 @@ fn submit_job(
     let body = Json::parse(text)
         .map_err(|e| SvcError::BadRequest(format!("config is not valid JSON: {e}")))?;
     let spec = match kind {
-        "compare" => JobSpec::Compare(compare_config_from_json(&body).map_err(SvcError::BadRequest)?),
-        "crashck" => JobSpec::Crashck(crashck_config_from_json(&body).map_err(SvcError::BadRequest)?),
-        "blocks" => blocks_spec_from_json(&body).map_err(SvcError::BadRequest)?,
-        _ => JobSpec::Campaign(config_from_json(&body).map_err(SvcError::BadRequest)?),
-    };
+        "blocks" => blocks_spec_from_json(&body),
+        _ => JobSpec::from_kind(kind, &body),
+    }
+    .map_err(SvcError::BadRequest)?;
     let mut st = shared.state.lock().unwrap();
     if st.draining {
         return Err(SvcError::Draining);
@@ -464,21 +444,9 @@ fn job_endpoint(shared: &Shared, path: &str) -> Result<Response, SvcError> {
             // what `soteria campaign`/`soteria compare` write to disk.
             let (result_json, ndjson) = output;
             Ok(if artifact == "result" {
-                Response {
-                    status: 200,
-                    reason: "OK",
-                    content_type: "application/json",
-                    extra: Vec::new(),
-                    body: result_json.clone().into_bytes(),
-                }
+                Response::ok("application/json", result_json.clone().into_bytes())
             } else {
-                Response {
-                    status: 200,
-                    reason: "OK",
-                    content_type: "application/x-ndjson",
-                    extra: Vec::new(),
-                    body: ndjson.clone().into_bytes(),
-                }
+                Response::ok("application/x-ndjson", ndjson.clone().into_bytes())
             })
         }
         Some(other) => Err(SvcError::NotFound(format!(
@@ -500,11 +468,5 @@ fn metrics_response(shared: &Shared) -> Response {
             "# TYPE soteria_svc_{name} gauge\nsoteria_svc_{name} {value}\n"
         ));
     }
-    Response {
-        status: 200,
-        reason: "OK",
-        content_type: "text/plain; version=0.0.4",
-        extra: Vec::new(),
-        body: text.into_bytes(),
-    }
+    Response::ok("text/plain; version=0.0.4", text.into_bytes())
 }

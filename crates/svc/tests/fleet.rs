@@ -2,9 +2,12 @@
 //! worker servers must merge to **byte-identical** artifacts vs a
 //! single-node run at the same seed — for every job kind, for any
 //! worker count, and across worker failures (a registered-but-dead
-//! address and a live worker killed mid-campaign).
+//! address and a live worker killed mid-campaign). The coordinator's
+//! control plane answers with pinned bytes and keeps serving while a
+//! client stalls mid-request.
 
-use std::net::{SocketAddr, TcpListener};
+use std::io::{ErrorKind, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
@@ -141,4 +144,133 @@ fn fleet_survives_dead_and_killed_workers_with_identical_bytes() {
         handle.shutdown();
         join.join().unwrap();
     }
+}
+
+/// Sends `request` raw and returns every byte the server wrote before
+/// closing the connection.
+fn exchange(addr: SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect control plane");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set read timeout");
+    stream.write_all(request).expect("send request");
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response).expect("read response");
+    String::from_utf8(response).expect("response is UTF-8")
+}
+
+/// The control plane's responses, byte for byte, while `Coordinator::run`
+/// waits for its quorum: the probes CI runs against a real coordinator,
+/// plus the pinned 404, 405 and 400 errors.
+#[test]
+fn control_plane_answers_with_pinned_bytes_while_waiting_for_quorum() {
+    let (worker, handle, join) = boot_worker();
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_fleet_config(1, 1))
+        .expect("bind coordinator control plane");
+    let control = coordinator.local_addr();
+    let body = Json::parse(r#"{"fit": 1500, "iterations": 64, "threads": 1, "seed": 3}"#).unwrap();
+    let expected = run_spec(&JobSpec::Campaign(config_from_json(&body).unwrap()));
+    let run = thread::spawn(move || coordinator.run("campaign", &body));
+
+    let get = |path: &str| exchange(control, format!("GET {path} HTTP/1.1\r\n\r\n").as_bytes());
+    assert_eq!(
+        get("/healthz"),
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+         Content-Length: 3\r\nConnection: close\r\n\r\nok\n"
+    );
+    assert_eq!(
+        get("/v1/fleet"),
+        "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 82\r\n\
+         Connection: close\r\n\r\n{\n  \"workers\": [],\n  \"blocks_done\": 0,\n  \
+         \"blocks_total\": 1,\n  \"finished\": false\n}\n"
+    );
+    assert_eq!(
+        get("/metrics"),
+        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
+         Content-Length: 526\r\nConnection: close\r\n\r\n\
+         # TYPE soteria_fleet_workers gauge\n\
+         soteria_fleet_workers 0\n\
+         # TYPE soteria_fleet_workers_alive gauge\n\
+         soteria_fleet_workers_alive 0\n\
+         # TYPE soteria_fleet_blocks_total gauge\n\
+         soteria_fleet_blocks_total 1\n\
+         # TYPE soteria_fleet_blocks_in_flight gauge\n\
+         soteria_fleet_blocks_in_flight 0\n\
+         # TYPE soteria_fleet_merge_lag_blocks gauge\n\
+         soteria_fleet_merge_lag_blocks 1\n\
+         # TYPE soteria_fleet_reassignments_total counter\n\
+         soteria_fleet_reassignments_total 0\n\
+         # TYPE soteria_fleet_worker_alive gauge\n\
+         # TYPE soteria_fleet_worker_blocks_done counter\n"
+    );
+    assert_eq!(
+        get("/nope"),
+        "HTTP/1.1 404 Not Found\r\nContent-Type: application/json\r\nContent-Length: 49\r\n\
+         Connection: close\r\n\r\n{\n  \"error\": \"not found: no route for '/nope'\"\n}\n"
+    );
+    assert_eq!(
+        exchange(control, b"PUT /healthz HTTP/1.1\r\n\r\n"),
+        "HTTP/1.1 405 Method Not Allowed\r\nContent-Type: application/json\r\n\
+         Content-Length: 55\r\nConnection: close\r\n\r\n\
+         {\n  \"error\": \"method PUT not allowed here (use GET)\"\n}\n"
+    );
+    assert_eq!(
+        exchange(control, b"BROKEN\r\n\r\n"),
+        "HTTP/1.1 400 Bad Request\r\nContent-Type: application/json\r\nContent-Length: 62\r\n\
+         Connection: close\r\n\r\n\
+         {\n  \"error\": \"bad request: malformed request line 'BROKEN'\"\n}\n"
+    );
+
+    fleet::register_worker(
+        &control.to_string(),
+        &worker.to_string(),
+        10,
+        Duration::from_millis(20),
+        &Default::default(),
+    )
+    .expect("register worker");
+    let got = run.join().expect("coordinator thread").expect("fleet run");
+    assert_eq!(
+        got, expected,
+        "the probed run still merges to single-node bytes"
+    );
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// A client that sent its head but withholds the promised body must not
+/// hold up a worker's registration: the control plane answers the
+/// registration while the stalled request is still unanswered.
+#[test]
+fn a_stalled_control_client_does_not_delay_registration() {
+    let (worker, handle, join) = boot_worker();
+    let coordinator = Coordinator::bind("127.0.0.1:0", fast_fleet_config(1, 1))
+        .expect("bind coordinator control plane");
+    let control = coordinator.local_addr();
+    let body = Json::parse(r#"{"fit": 1500, "iterations": 64, "threads": 1, "seed": 4}"#).unwrap();
+    let run = thread::spawn(move || coordinator.run("campaign", &body));
+
+    let mut stalled = TcpStream::connect(control).expect("connect stalled client");
+    stalled
+        .write_all(b"POST /v1/fleet/register HTTP/1.1\r\nContent-Length: 64\r\n\r\n")
+        .expect("send head");
+    fleet::register_worker(
+        &control.to_string(),
+        &worker.to_string(),
+        10,
+        Duration::from_millis(20),
+        &Default::default(),
+    )
+    .expect("register worker");
+    stalled.set_nonblocking(true).expect("non-blocking probe");
+    let mut byte = [0u8; 1];
+    match stalled.read(&mut byte) {
+        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+        other => panic!("the stalled request was settled before the registration: {other:?}"),
+    }
+    drop(stalled);
+
+    run.join().expect("coordinator thread").expect("fleet run");
+    handle.shutdown();
+    join.join().unwrap();
 }

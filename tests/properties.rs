@@ -1,8 +1,9 @@
 //! Property-based tests (on the in-tree `soteria_rt::prop` harness) over
 //! the core data structures and invariants: codecs round-trip under
 //! correctable faults, counters never repeat, the layout partitions the
-//! address space, and the secure controller is a faithful memory under
-//! arbitrary operation sequences.
+//! address space, the secure controller is a faithful memory under
+//! arbitrary operation sequences, and the parsers that face the network
+//! turn malformed input into errors, never panics.
 //!
 //! Failing cases are shrunk and their seeds recorded in
 //! `tests/properties.regressions`; recorded entries replay before any
@@ -1011,3 +1012,303 @@ fn any_fleet_schedule_merges_to_single_node_bytes() {
     );
 }
 
+
+/// One input for a parser that faces the network: raw request bytes for
+/// `http::parse_request`, a kind name and config body for the job-kind
+/// table, or, for `merge_partials`, each job kind's block partials with
+/// some mutated.
+#[derive(Clone, Debug)]
+enum WireInput {
+    Request(Vec<u8>),
+    Kind(String, Json),
+    Partials(Vec<Vec<Json>>),
+}
+
+/// Generates [`WireInput`]s: mutated well-formed requests or random
+/// bytes, arbitrary or field-shaped config bodies, and the partials of
+/// `run_block_range` with one to three structural mutations per kind.
+struct WireInputs<'a> {
+    /// Per job kind: the spec and its pristine, full-coverage partials.
+    jobs: &'a [(soteria_suite::soteria_faultsim::JobSpec, Vec<Json>)],
+}
+
+impl WireInputs<'_> {
+    const REQUESTS: [&'static str; 4] = [
+        "GET /healthz HTTP/1.1\r\n\r\n",
+        "POST /v1/fleet/register HTTP/1.1\r\nContent-Length: 26\r\n\r\n{\"addr\": \"127.0.0.1:9001\"}",
+        "POST /v1/blocks HTTP/1.0\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n{}",
+        "PUT /v1/jobs/7/trace HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
+    ];
+    /// Every config and shard field the kind table's parsers accept.
+    const FIELDS: [&'static str; 16] = [
+        "fit",
+        "iterations",
+        "ecc",
+        "tree",
+        "scrub_hours",
+        "seed",
+        "threads",
+        "capacity_bytes",
+        "trace_ops",
+        "scripts_per_cell",
+        "max_txns",
+        "max_writes",
+        "kind",
+        "lo",
+        "hi",
+        "config",
+    ];
+
+    fn request(rng: &mut StdRng) -> Vec<u8> {
+        if rng.bounded_u64(4) == 0 {
+            return (0..rng.bounded_u64(300))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+        }
+        let mut bytes = Self::REQUESTS[rng.bounded_u64(4) as usize]
+            .as_bytes()
+            .to_vec();
+        for _ in 0..1 + rng.bounded_u64(4) {
+            let at = rng.bounded_u64(bytes.len() as u64 + 1) as usize;
+            match rng.bounded_u64(4) {
+                0 if at < bytes.len() => bytes[at] = rng.next_u64() as u8,
+                1 => bytes.insert(at, b"\r\n: 0x9"[rng.bounded_u64(7) as usize]),
+                2 => bytes.truncate(at),
+                _ => {
+                    let tail = bytes[at..].to_vec();
+                    bytes.extend_from_slice(&tail);
+                }
+            }
+        }
+        bytes
+    }
+
+    fn body(rng: &mut StdRng) -> Json {
+        let values = JsonStrategy { depth: 2 };
+        if rng.bounded_u64(2) == 0 {
+            return values.generate(rng);
+        }
+        Json::Obj(
+            (0..rng.bounded_u64(5))
+                .map(|_| {
+                    let field = Self::FIELDS[rng.bounded_u64(16) as usize];
+                    (field.to_string(), values.generate(rng))
+                })
+                .collect(),
+        )
+    }
+
+    /// The `n`-th node of `node`, in pre-order, among those that `fits`.
+    fn nth_node<'j>(
+        node: &'j mut Json,
+        fits: fn(&Json) -> bool,
+        n: &mut u64,
+    ) -> Option<&'j mut Json> {
+        if fits(node) {
+            if *n == 0 {
+                return Some(node);
+            }
+            *n -= 1;
+        }
+        match node {
+            Json::Arr(items) => items
+                .iter_mut()
+                .find_map(|item| Self::nth_node(item, fits, n)),
+            Json::Obj(entries) => entries
+                .iter_mut()
+                .find_map(|(_, v)| Self::nth_node(v, fits, n)),
+            _ => None,
+        }
+    }
+
+    fn count_nodes(node: &Json, fits: fn(&Json) -> bool) -> u64 {
+        u64::from(fits(node))
+            + match node {
+                Json::Arr(items) => items.iter().map(|item| Self::count_nodes(item, fits)).sum(),
+                Json::Obj(entries) => entries
+                    .iter()
+                    .map(|(_, v)| Self::count_nodes(v, fits))
+                    .sum(),
+                _ => 0,
+            }
+    }
+
+    /// One structural mutation, at a random node it applies to: replace
+    /// the node, truncate or extend an array, resize every array of an
+    /// object to one length (a peer with a different roster), drop an
+    /// object entry, or cut a string short.
+    fn mutate(doc: &mut Json, rng: &mut StdRng) {
+        const FITS: [fn(&Json) -> bool; 6] = [
+            |_| true,
+            |j| matches!(j, Json::Arr(items) if !items.is_empty()),
+            |j| matches!(j, Json::Arr(_)),
+            |j| matches!(j, Json::Obj(e) if e.iter().any(|(_, v)| matches!(v, Json::Arr(_)))),
+            |j| matches!(j, Json::Obj(e) if !e.is_empty()),
+            |j| matches!(j, Json::Str(s) if !s.is_empty()),
+        ];
+        let op = rng.bounded_u64(FITS.len() as u64) as usize;
+        let count = Self::count_nodes(doc, FITS[op]);
+        if count == 0 {
+            return;
+        }
+        let mut n = rng.bounded_u64(count);
+        let node = Self::nth_node(doc, FITS[op], &mut n).expect("node index is in range");
+        let resize = |items: &mut Vec<Json>, len: usize| {
+            let copy = items.first().cloned().unwrap_or(Json::Null);
+            items.resize(len, copy);
+        };
+        match node {
+            node if op == 0 => *node = JsonStrategy { depth: 1 }.generate(rng),
+            Json::Arr(items) if op == 1 => {
+                items.truncate(rng.bounded_u64(items.len() as u64) as usize)
+            }
+            Json::Arr(items) => resize(items, items.len() + 1 + rng.bounded_u64(10) as usize),
+            Json::Obj(entries) if op == 3 => {
+                let len = rng.bounded_u64(12) as usize;
+                for (_, value) in entries.iter_mut() {
+                    if let Json::Arr(items) = value {
+                        resize(items, len);
+                    }
+                }
+            }
+            Json::Obj(entries) => {
+                entries.remove(rng.bounded_u64(entries.len() as u64) as usize);
+            }
+            Json::Str(s) => {
+                let keep = rng.bounded_u64(s.chars().count() as u64) as usize;
+                *s = s.chars().take(keep).collect();
+            }
+            _ => unreachable!("every mutation's node fits it"),
+        }
+    }
+}
+
+impl Strategy for WireInputs<'_> {
+    type Value = WireInput;
+
+    fn generate(&self, rng: &mut StdRng) -> WireInput {
+        match rng.bounded_u64(3) {
+            0 => WireInput::Request(Self::request(rng)),
+            1 => {
+                let name =
+                    ["campaign", "compare", "crashck", "blocks", ""][rng.bounded_u64(5) as usize];
+                WireInput::Kind(name.to_string(), Self::body(rng))
+            }
+            _ => WireInput::Partials(
+                self.jobs
+                    .iter()
+                    .map(|(_, pristine)| {
+                        let mut docs = pristine.clone();
+                        for _ in 0..1 + rng.bounded_u64(3) {
+                            let at = rng.bounded_u64(docs.len() as u64) as usize;
+                            Self::mutate(&mut docs[at], rng);
+                        }
+                        docs
+                    })
+                    .collect(),
+            ),
+        }
+    }
+}
+
+/// Runs `f`, turning a panic into the failing case's error.
+fn no_panic<T>(what: &str, f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
+        let msg = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        format!("{what} panicked: {msg}")
+    })
+}
+
+#[test]
+fn network_parsers_fail_with_errors_not_panics() {
+    // Every parser a peer's bytes reach: the HTTP framing both planes
+    // share, the job-kind table behind every submit and shard body, and
+    // the coordinator's merge of worker partials. Malformed input must
+    // come back as a typed error; a panic would take down the reactor or
+    // the coordinator. The pinned corpus entry replays the roster-skewed
+    // compare partial that once indexed past its shortened arrays.
+    use soteria_suite::soteria_faultsim::{
+        blocks_spec_from_json, merge_partials, run_block_range, total_blocks, CampaignConfig,
+        CompareConfig, CrashckConfig, JobSpec,
+    };
+    use soteria_suite::soteria_svc::http::{drain_budget, parse_request, ReadLimits};
+    let mut campaign = CampaignConfig::table4(1500.0);
+    campaign.iterations = 128;
+    campaign.capacity_bytes = 64 << 20;
+    campaign.threads = 1;
+    campaign.trace = true;
+    let jobs: Vec<(JobSpec, Vec<Json>)> = [
+        JobSpec::Campaign(campaign),
+        JobSpec::Compare(CompareConfig {
+            iterations: 128,
+            trace_ops: 64,
+            ..CompareConfig::default()
+        }),
+        JobSpec::Crashck(CrashckConfig {
+            seed: 0x50f3,
+            scripts_per_cell: 1,
+            max_txns: 2,
+            max_writes: 2,
+            threads: 1,
+        }),
+    ]
+    .into_iter()
+    .map(|spec| {
+        let total = total_blocks(&spec);
+        let docs = [(0, total / 2), (total / 2, total)]
+            .iter()
+            .map(|&(lo, hi)| Json::parse(&run_block_range(&spec, lo, hi).to_pretty_string()))
+            .collect::<Result<_, _>>()
+            .expect("partials serialize to valid JSON");
+        (spec, docs)
+    })
+    .collect();
+    check(
+        "network_parsers_fail_with_errors_not_panics",
+        &cfg(96),
+        &WireInputs { jobs: &jobs },
+        |input| match input {
+            WireInput::Request(bytes) => {
+                let small = ReadLimits {
+                    max_head_bytes: 64,
+                    max_body_bytes: 16,
+                };
+                for limits in [ReadLimits::default(), small] {
+                    if let Ok(Some((_, consumed))) =
+                        no_panic("parse_request", || parse_request(bytes, &limits))?
+                    {
+                        prop_assert!(
+                            consumed <= bytes.len(),
+                            "consumed {consumed} of {}",
+                            bytes.len()
+                        );
+                    }
+                }
+                no_panic("drain_budget", || drain_budget(bytes))?;
+                Ok(())
+            }
+            WireInput::Kind(name, body) => {
+                let _ = no_panic("JobSpec::from_kind", || JobSpec::from_kind(name, body))?;
+                let shard = Json::Obj(vec![
+                    ("kind".into(), Json::Str(name.clone())),
+                    ("lo".into(), Json::Num(0.0)),
+                    ("hi".into(), Json::Num(1.0)),
+                    ("config".into(), body.clone()),
+                ]);
+                let _ = no_panic("blocks_spec_from_json", || blocks_spec_from_json(&shard))?;
+                let _ = no_panic("blocks_spec_from_json", || blocks_spec_from_json(body))?;
+                Ok(())
+            }
+            WireInput::Partials(per_job) => {
+                for ((spec, _), docs) in jobs.iter().zip(per_job) {
+                    let _ = no_panic("merge_partials", || merge_partials(spec, docs))?;
+                }
+                Ok(())
+            }
+        },
+    );
+}
