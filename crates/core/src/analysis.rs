@@ -680,11 +680,11 @@ impl<'a> ResilienceModel<'a> {
     /// the model's [`TreeKind`]; the UE regions and `L_error` are computed
     /// a single time.
     ///
-    /// A fault set whose UE regions are all bank-wide takes the closed
-    /// form `assess_bankwide`, which combines per-level lost fractions as
-    /// `1 − Π(1 − f_l)` and lists no lost blocks. Every other set takes the
-    /// exact run engine with the [`LossProfile`] of
-    /// [`TreeKind::loss_profile`].
+    /// Under a ToC tree, a fault set whose UE regions are all bank-wide
+    /// takes the closed form `assess_bankwide`, which combines per-level
+    /// lost fractions as `1 − Π(1 − f_l)` and lists no lost blocks. Every
+    /// other set, and every set under a BMT, takes the exact run engine
+    /// with the [`LossProfile`] of [`TreeKind::loss_profile`].
     pub fn assess_many(
         &self,
         faults: &[FaultRecord],
@@ -718,8 +718,9 @@ impl<'a> ResilienceModel<'a> {
     }
 
     /// The steps both entry points share: UE regions, the whole-device
-    /// shortcut, `L_error`, then the closed form (if allowed and every
-    /// region is bank-wide) or the run engine.
+    /// shortcut, `L_error`, then the closed form (if allowed, every region
+    /// is bank-wide and every scheme has the default profile, the only one
+    /// the closed form models) or the run engine.
     fn assess_faults(
         &self,
         faults: &[FaultRecord],
@@ -753,7 +754,10 @@ impl<'a> ResilienceModel<'a> {
         }
 
         let error_lines = self.error_lines_in(&regions, data_lines);
-        if bankwide_closed_form && regions.iter().all(Self::is_bankwide) {
+        if bankwide_closed_form
+            && schemes.iter().all(|s| s.profile == LossProfile::default())
+            && regions.iter().all(Self::is_bankwide)
+        {
             return self.assess_bankwide(&regions, schemes, error_lines);
         }
         self.assess_runs(&regions, schemes, error_lines)
@@ -1116,9 +1120,10 @@ mod scan {
 
             let error_lines = self.error_lines_in_scan(&regions, data_lines);
 
-            // Bank-scale-only fault sets take the closed-form path (the slow
-            // scan below enumerates millions of metadata lines for them).
-            if regions.iter().all(Self::is_bankwide) {
+            // Bank-scale-only fault sets of a ToC take the closed-form path,
+            // as in `assess_many` (the slow scan below enumerates millions
+            // of metadata lines for them at paper scale).
+            if self.tree == TreeKind::Toc && regions.iter().all(Self::is_bankwide) {
                 let profile = self.tree.loss_profile();
                 let schemes: Vec<SchemeLoss<'_>> = policies
                     .iter()
@@ -1617,6 +1622,38 @@ mod tests {
         };
         let a = bmt.assess(&[mk(0), mk(9)], &policy);
         assert_eq!(a.unverifiable_data_lines, layout.covered_data_lines(leaf));
+    }
+
+    #[test]
+    fn bmt_bankwide_sets_take_the_exact_engine() {
+        // The closed form models the ToC profile only: a BMT rebuilds
+        // every level from L2 up, so a bank-wide set must lose just the
+        // leaves whose primaries sit in the bank, as the exact engine
+        // finds (not the 1 048 576 lines a ToC loses to the same set).
+        let (layout, geometry) = setup();
+        let policy = CloningPolicy::None;
+        let bmt = ResilienceModel::new(&layout, &geometry).with_tree(TreeKind::Bmt);
+        let bank = |chip| {
+            FaultRecord::on_chip(
+                &geometry,
+                chip,
+                FaultFootprint::SingleBank { bank: 0 },
+                FaultKind::Permanent,
+            )
+        };
+        let faults = [bank(0), bank(9)];
+        let exact = bmt.assess_schemes(
+            &faults,
+            &[SchemeLoss {
+                cloning: &policy,
+                profile: TreeKind::Bmt.loss_profile(),
+            }],
+        );
+        assert_eq!(exact[0].unverifiable_data_lines, 65_536);
+        assert_eq!(bmt.assess(&faults, &policy), exact[0]);
+        let toc = ResilienceModel::new(&layout, &geometry);
+        let toc_lost = toc.assess(&faults, &policy).unverifiable_data_lines;
+        assert_eq!(toc_lost, 1_048_576);
     }
 
     #[test]

@@ -13,13 +13,17 @@
 //! in fixed blocks of [`ITERATION_BLOCK`] iterations regardless of which
 //! worker produced them — so the same seed yields bit-identical
 //! [`PolicyResult`]s whether the campaign ran on one thread or sixteen.
+//!
+//! The loop is the one Monte Carlo engine of this crate: `compare` runs
+//! its resilience half on it too, with its own scheme rows and the exact
+//! assessment (see [`run_blocks`]).
 
-use soteria_rt::obs::{Field, TraceBuffer, TraceEvent};
+use soteria_rt::obs::{Field, TraceBuffer};
 use soteria_rt::obs_fields;
 use soteria_rt::rng::{stream_seed, StdRng};
 use soteria_rt::thread::fan_out;
 
-use soteria::analysis::{ResilienceModel, TreeKind};
+use soteria::analysis::{ResilienceModel, SchemeLoss, TreeKind};
 use soteria::clone::CloningPolicy;
 use soteria::layout::MemoryLayout;
 use soteria_nvm::fault::{FaultFootprint, FaultKind, FaultRecord};
@@ -369,26 +373,6 @@ pub fn sample_fault_set(
     faults
 }
 
-pub(crate) struct Accumulator {
-    pub(crate) iterations_with_faults: u64,
-    pub(crate) iterations_with_ue: u64,
-    pub(crate) per_policy_udr_sum: Vec<f64>,
-    pub(crate) per_policy_udr_hits: Vec<u64>,
-    pub(crate) error_ratio_sum: f64,
-}
-
-impl Accumulator {
-    pub(crate) fn new(policies: usize) -> Self {
-        Self {
-            iterations_with_faults: 0,
-            iterations_with_ue: 0,
-            per_policy_udr_sum: vec![0.0; policies],
-            per_policy_udr_hits: vec![0; policies],
-            error_ratio_sum: 0.0,
-        }
-    }
-}
-
 /// Iterations per scheduling block. Blocks — not threads — are the unit
 /// of work distribution **and** floating-point accumulation: a block's
 /// partial sums are computed in iteration order by whichever worker picks
@@ -397,29 +381,78 @@ impl Accumulator {
 /// same-seed campaigns bit-identical across thread counts.
 pub const ITERATION_BLOCK: u64 = 64;
 
-/// Per-worker scratch buffers reused across Monte Carlo iterations.
-///
-/// The campaign hot loop used to allocate a fresh fault history, a
-/// `Vec<Vec<FaultRecord>>` of co-active sets, a chip-dedup vector, and a
-/// per-policy worst-UDR vector on every iteration. Keeping those buffers
-/// alive per worker removes the steady-state allocation churn without
-/// changing the order of any floating-point accumulation.
+/// The iterations `lo..hi` of block `block` in a run of `iterations`.
+pub(crate) fn block_iterations(block: u64, iterations: u64) -> (u64, u64) {
+    let lo = block.saturating_mul(ITERATION_BLOCK);
+    (lo, lo.saturating_add(ITERATION_BLOCK).min(iterations))
+}
+
+/// How a Monte Carlo kind judges each fault set against its schemes.
+#[derive(Clone, Copy)]
+pub(crate) enum Assess {
+    /// [`ResilienceModel::assess_many`] under the config's tree: a
+    /// purely bank-wide set of a ToC tree takes the closed form.
+    ClosedForm,
+    /// [`ResilienceModel::assess_schemes`]: the exact run engine for
+    /// every set, each scheme under its own loss profile.
+    Exact,
+}
+
+/// One iteration that drew at least one fault: what the kinds render
+/// their per-iteration NDJSON from.
+pub(crate) struct IterRecord {
+    /// The iteration (its RNG stream is `stream_seed(seed, iter)`).
+    pub(crate) iter: u64,
+    /// Faults drawn over the campaign horizon.
+    pub(crate) faults: u64,
+    /// Whether the ECC was defeated somewhere.
+    pub(crate) ue: bool,
+    /// Worst UDR per scheme, in row order.
+    pub(crate) udr: Vec<f64>,
+}
+
+/// Partial sums over a run of iterations, plus one record per faulted
+/// iteration when the config keeps a trace. The same type holds one
+/// block's partials and, after [`fold_blocks`], a whole campaign's.
+pub(crate) struct Accumulator {
+    pub(crate) iterations_with_faults: u64,
+    pub(crate) iterations_with_ue: u64,
+    pub(crate) error_ratio_sum: f64,
+    pub(crate) udr_sum: Vec<f64>,
+    pub(crate) udr_hits: Vec<u64>,
+    /// In iteration order; empty when `config.trace` is off.
+    pub(crate) records: Vec<IterRecord>,
+}
+
+impl Accumulator {
+    pub(crate) fn new(schemes: usize) -> Self {
+        Self {
+            iterations_with_faults: 0,
+            iterations_with_ue: 0,
+            error_ratio_sum: 0.0,
+            udr_sum: vec![0.0; schemes],
+            udr_hits: vec![0; schemes],
+            records: Vec::new(),
+        }
+    }
+}
+
+/// One block's partials — the unit of work distribution, both across
+/// local threads and across fleet workers.
+pub(crate) struct Block {
+    /// Block index (see [`block_iterations`]).
+    pub(crate) block: u64,
+    pub(crate) acc: Accumulator,
+}
+
+/// Per-worker scratch buffers reused across Monte Carlo iterations, so
+/// the hot loop allocates nothing per iteration in steady state (the
+/// order of every floating-point accumulation is unchanged).
 struct IterScratch {
     history: Vec<TimedFault>,
     live: Vec<FaultRecord>,
     chips: Vec<u32>,
     worst_udr: Vec<f64>,
-}
-
-impl IterScratch {
-    fn new(policies: usize) -> Self {
-        Self {
-            history: Vec::new(),
-            live: Vec::new(),
-            chips: Vec::new(),
-            worst_udr: vec![0.0; policies],
-        }
-    }
 }
 
 /// Everything an iteration reads but never writes — shared by all of a
@@ -430,17 +463,9 @@ struct WorkerCtx<'a> {
     geometry: &'a DimmGeometry,
     rates: &'a FitRates,
     model: &'a ResilienceModel<'a>,
-    policy_refs: &'a [&'a CloningPolicy],
-}
-
-/// Short label for a cloning policy in trace events.
-fn policy_label(policy: &CloningPolicy) -> &'static str {
-    match policy {
-        CloningPolicy::None => "baseline",
-        CloningPolicy::Relaxed => "src",
-        CloningPolicy::Aggressive => "sac",
-        CloningPolicy::Custom(_) => "custom",
-    }
+    rows: &'a [SchemeLoss<'a>],
+    clonings: &'a [&'a CloningPolicy],
+    assess: Assess,
 }
 
 /// Simulates one Monte Carlo iteration into `acc`.
@@ -450,7 +475,6 @@ fn simulate_iteration(
     scratch: &mut IterScratch,
     acc: &mut Accumulator,
     iter: u64,
-    events: Option<&mut Vec<TraceEvent>>,
 ) {
     let WorkerCtx {
         config,
@@ -458,7 +482,7 @@ fn simulate_iteration(
         geometry,
         rates,
         model,
-        policy_refs,
+        ..
     } = *ctx;
     sample_fault_history_into(rng, geometry, rates, config.hours, &mut scratch.history);
     if scratch.history.is_empty() {
@@ -472,10 +496,9 @@ fn simulate_iteration(
     // scrubbing, evaluate the co-active set at each arrival instant and
     // keep the worst outcome (UE corruption is latched into the cells
     // until repaired, so the worst co-active set bounds the loss). Each
-    // co-active set streams through the reused `live` buffer in the same
-    // order the old materialized Vec<Vec<_>> produced, so every max/sum
-    // below sees identical operands in identical order and results stay
-    // bit-identical across thread counts.
+    // co-active set streams through the reused `live` buffer in arrival
+    // order, so every max/sum below sees identical operands in identical
+    // order and results stay bit-identical across thread counts.
     let set_count = match config.scrub_interval_hours {
         None => 1,
         Some(_) => scratch.history.len(),
@@ -510,7 +533,10 @@ fn simulate_iteration(
         if scratch.chips.len() <= config.correctable_chips {
             continue;
         }
-        let assessments = model.assess_many(&scratch.live, policy_refs);
+        let assessments = match ctx.assess {
+            Assess::ClosedForm => model.assess_many(&scratch.live, ctx.clonings),
+            Assess::Exact => model.assess_schemes(&scratch.live, ctx.rows),
+        };
         for (i, a) in assessments.iter().enumerate() {
             if a.error_data_lines > 0 || a.unverifiable_data_lines > 0 {
                 any_ue = true;
@@ -524,39 +550,121 @@ fn simulate_iteration(
     acc.error_ratio_sum += worst_error;
     for (i, &udr) in scratch.worst_udr.iter().enumerate() {
         if udr > 0.0 {
-            acc.per_policy_udr_sum[i] += udr;
-            acc.per_policy_udr_hits[i] += 1;
+            acc.udr_sum[i] += udr;
+            acc.udr_hits[i] += 1;
         }
     }
     if any_ue {
         acc.iterations_with_ue += 1;
     }
-    if let Some(events) = events {
-        // Seed provenance: the exact RNG stream this iteration drew from,
-        // so any single iteration can be replayed in isolation.
-        events.push(TraceEvent::new(
-            "campaign",
-            "iteration",
-            obs_fields![
-                ("iter", iter),
-                ("seed", Field::Hex(stream_seed(config.seed, iter))),
-                ("faults", scratch.history.len()),
-                ("ue", any_ue),
-            ],
-        ));
-        for (i, &udr) in scratch.worst_udr.iter().enumerate() {
-            if udr > 0.0 {
-                events.push(TraceEvent::new(
-                    "campaign",
-                    "policy_udr",
-                    obs_fields![
-                        ("iter", iter),
-                        ("policy", policy_label(policy_refs[i])),
-                        ("udr", udr),
-                    ],
-                ));
+    if config.trace {
+        acc.records.push(IterRecord {
+            iter,
+            faults: scratch.history.len() as u64,
+            ue: any_ue,
+            udr: scratch.worst_udr.clone(),
+        });
+    }
+}
+
+/// The one Monte Carlo loop behind campaign and compare: computes the
+/// partials of the given blocks, judging every fault set against all
+/// `rows` (a paired comparison) with `assess`.
+///
+/// A block's partials depend only on `(config, rows, assess, block)` —
+/// never on which worker or node computed it — so any partition of the
+/// block list over threads (here) or fleet workers (`svc::fleet`) yields
+/// bit-identical partials. Returned sorted by block index.
+pub(crate) fn run_blocks(
+    config: &CampaignConfig,
+    rows: &[SchemeLoss<'_>],
+    assess: Assess,
+    block_ids: &[u64],
+) -> Vec<Block> {
+    let layout = config.build_layout();
+    let geometry = config.build_geometry(&layout);
+    let rates = config.rates.scaled_to(config.fit_per_chip);
+    let clonings: Vec<&CloningPolicy> = rows.iter().map(|row| row.cloning).collect();
+    let workers = config.threads.max(1).min(block_ids.len().max(1));
+
+    // Each worker claims blocks workers-strided (worker t gets list
+    // entries t, t+workers, …); the sort below restores block order.
+    let per_worker: Vec<Vec<Block>> = fan_out(workers, |t| {
+        let model = ResilienceModel::new(&layout, &geometry)
+            .with_correctable_chips(config.correctable_chips)
+            .with_tree(config.tree);
+        let ctx = WorkerCtx {
+            config,
+            layout: &layout,
+            geometry: &geometry,
+            rates: &rates,
+            model: &model,
+            rows,
+            clonings: &clonings,
+            assess,
+        };
+        let mut scratch = IterScratch {
+            history: Vec::new(),
+            live: Vec::new(),
+            chips: Vec::new(),
+            worst_udr: vec![0.0; rows.len()],
+        };
+        let mut out = Vec::new();
+        for &block in block_ids.iter().skip(t).step_by(workers) {
+            let mut acc = Accumulator::new(rows.len());
+            let (lo, hi) = block_iterations(block, config.iterations);
+            for iter in lo..hi {
+                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
+                simulate_iteration(&mut rng, &ctx, &mut scratch, &mut acc, iter);
             }
+            out.push(Block { block, acc });
         }
+        out
+    });
+
+    let mut blocks: Vec<Block> = per_worker.into_iter().flatten().collect();
+    blocks.sort_by_key(|b| b.block);
+    blocks
+}
+
+/// Folds block partials in block order — the single reduction behind the
+/// local runners and the fleet coordinator's merge of both kinds, so
+/// their bytes cannot diverge.
+pub(crate) fn fold_blocks(mut blocks: Vec<Block>, schemes: usize) -> Accumulator {
+    blocks.sort_by_key(|b| b.block);
+    let mut total = Accumulator::new(schemes);
+    for Block { acc, .. } in blocks {
+        total.iterations_with_faults += acc.iterations_with_faults;
+        total.iterations_with_ue += acc.iterations_with_ue;
+        total.error_ratio_sum += acc.error_ratio_sum;
+        for i in 0..schemes {
+            total.udr_sum[i] += acc.udr_sum[i];
+            total.udr_hits[i] += acc.udr_hits[i];
+        }
+        total.records.extend(acc.records);
+    }
+    total
+}
+
+/// The campaign kind's rows: each policy under the config's tree.
+fn campaign_rows<'a>(
+    config: &CampaignConfig,
+    policies: &'a [CloningPolicy],
+) -> Vec<SchemeLoss<'a>> {
+    let profile = config.tree.loss_profile();
+    policies
+        .iter()
+        .map(|cloning| SchemeLoss { cloning, profile })
+        .collect()
+}
+
+/// Short label for a cloning policy in trace events.
+fn policy_label(policy: &CloningPolicy) -> &'static str {
+    match policy {
+        CloningPolicy::None => "baseline",
+        CloningPolicy::Relaxed => "src",
+        CloningPolicy::Aggressive => "sac",
+        CloningPolicy::Custom(_) => "custom",
     }
 }
 
@@ -573,104 +681,38 @@ pub fn run_campaign(config: &CampaignConfig, policies: &[CloningPolicy]) -> Vec<
 /// trace stream when `config.trace` is set (a disabled, empty buffer
 /// otherwise).
 ///
-/// Workers collect their blocks' events locally; after the fan-in the
-/// per-block event lists are concatenated **in block order** and only
-/// then sequenced — the trace analogue of the fixed-block floating-point
-/// merge. Same seed ⇒ byte-identical NDJSON at any `config.threads`.
+/// Blocks keep per-iteration records, and the trace is rendered from
+/// them after the block-order fold — the trace analogue of the
+/// fixed-block floating-point merge. Same seed ⇒ byte-identical NDJSON
+/// at any `config.threads`.
 pub fn run_campaign_traced(
     config: &CampaignConfig,
     policies: &[CloningPolicy],
 ) -> (Vec<PolicyResult>, TraceBuffer) {
-    let blocks = config.iterations.div_ceil(ITERATION_BLOCK);
-    let all: Vec<u64> = (0..blocks).collect();
-    let tagged = run_campaign_blocks(config, policies, &all);
-    merge_campaign_blocks(config, policies, tagged)
+    let all: Vec<u64> = (0..config.iterations.div_ceil(ITERATION_BLOCK)).collect();
+    let blocks = run_campaign_blocks(config, policies, &all);
+    merge_campaign_blocks(config, policies, blocks)
 }
 
-/// One block's partial sums and trace events — the unit of work
-/// distribution, both across local threads and across fleet workers.
-pub(crate) struct CampaignBlock {
-    /// Block index (`block * ITERATION_BLOCK` is its first iteration).
-    pub(crate) block: u64,
-    pub(crate) acc: Accumulator,
-    /// Trace events emitted by this block's iterations, in iteration
-    /// order (empty when `config.trace` is off).
-    pub(crate) events: Vec<TraceEvent>,
-}
-
-/// Computes the partial sums of the given accumulation blocks.
-///
-/// A block's partials depend only on `(config, policies, block)` — never
-/// on which worker or node computed it — so any partition of the block
-/// list over threads (here) or fleet workers (`svc::fleet`) yields
-/// bit-identical partials. Returned sorted by block index.
+/// The campaign kind's blocks: [`run_blocks`] over its rows with the
+/// closed-form assessment.
 pub(crate) fn run_campaign_blocks(
     config: &CampaignConfig,
     policies: &[CloningPolicy],
     block_ids: &[u64],
-) -> Vec<CampaignBlock> {
-    let layout = config.build_layout();
-    let geometry = config.build_geometry(&layout);
-    let rates = config.rates.scaled_to(config.fit_per_chip);
-    let workers = config.threads.max(1).min(block_ids.len().max(1));
-
-    // Each worker claims blocks workers-strided (worker t gets list
-    // entries t, t+workers, …) and tags every accumulator with its
-    // block index; the merge folds them back in block order.
-    let per_worker: Vec<Vec<CampaignBlock>> = fan_out(workers, |t| {
-        let model = ResilienceModel::new(&layout, &geometry)
-            .with_correctable_chips(config.correctable_chips)
-            .with_tree(config.tree);
-        let policy_refs: Vec<&CloningPolicy> = policies.iter().collect();
-        let ctx = WorkerCtx {
-            config,
-            layout: &layout,
-            geometry: &geometry,
-            rates: &rates,
-            model: &model,
-            policy_refs: &policy_refs,
-        };
-        let mut scratch = IterScratch::new(policies.len());
-        let mut out = Vec::new();
-        let mut i = t;
-        while i < block_ids.len() {
-            let block = block_ids[i];
-            let lo = block * ITERATION_BLOCK;
-            let hi = (lo + ITERATION_BLOCK).min(config.iterations);
-            let mut acc = Accumulator::new(policies.len());
-            let mut events = Vec::new();
-            for iter in lo..hi {
-                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
-                simulate_iteration(
-                    &mut rng,
-                    &ctx,
-                    &mut scratch,
-                    &mut acc,
-                    iter,
-                    config.trace.then_some(&mut events),
-                );
-            }
-            out.push(CampaignBlock { block, acc, events });
-            i += workers;
-        }
-        out
-    });
-
-    let mut tagged: Vec<CampaignBlock> = per_worker.into_iter().flatten().collect();
-    tagged.sort_by_key(|b| b.block);
-    tagged
+) -> Vec<Block> {
+    let rows = campaign_rows(config, policies);
+    run_blocks(config, &rows, Assess::ClosedForm, block_ids)
 }
 
-/// Folds block partials (in block order) into the final results and
-/// trace — the single reduction behind both the local runner and the
-/// fleet coordinator's merge, so their bytes cannot diverge.
+/// Folds campaign blocks into the per-policy results and renders the
+/// trace from their records.
 pub(crate) fn merge_campaign_blocks(
     config: &CampaignConfig,
     policies: &[CloningPolicy],
-    mut tagged: Vec<CampaignBlock>,
+    blocks: Vec<Block>,
 ) -> (Vec<PolicyResult>, TraceBuffer) {
-    tagged.sort_by_key(|b| b.block);
-
+    let total = fold_blocks(blocks, policies.len());
     let mut trace = if config.trace {
         TraceBuffer::with_capacity(CAMPAIGN_TRACE_CAPACITY)
     } else {
@@ -685,21 +727,28 @@ pub(crate) fn merge_campaign_blocks(
             ("policies", policies.len()),
         ]
     });
-
-    let mut iterations_with_faults = 0;
-    let mut iterations_with_ue = 0;
-    let mut error_ratio_sum = 0.0;
-    let mut udr_sum = vec![0.0; policies.len()];
-    let mut udr_hits = vec![0u64; policies.len()];
-    for CampaignBlock { acc, events, .. } in tagged {
-        iterations_with_faults += acc.iterations_with_faults;
-        iterations_with_ue += acc.iterations_with_ue;
-        error_ratio_sum += acc.error_ratio_sum;
-        for i in 0..policies.len() {
-            udr_sum[i] += acc.per_policy_udr_sum[i];
-            udr_hits[i] += acc.per_policy_udr_hits[i];
+    for r in &total.records {
+        // Seed provenance: the exact RNG stream this iteration drew from,
+        // so any single iteration can be replayed in isolation.
+        trace.emit_with("campaign", "iteration", || {
+            obs_fields![
+                ("iter", r.iter),
+                ("seed", Field::Hex(stream_seed(config.seed, r.iter))),
+                ("faults", r.faults),
+                ("ue", r.ue),
+            ]
+        });
+        for (policy, &udr) in policies.iter().zip(&r.udr) {
+            if udr > 0.0 {
+                trace.emit_with("campaign", "policy_udr", || {
+                    obs_fields![
+                        ("iter", r.iter),
+                        ("policy", policy_label(policy)),
+                        ("udr", udr),
+                    ]
+                });
+            }
         }
-        trace.absorb(events);
     }
     let results: Vec<PolicyResult> = policies
         .iter()
@@ -707,11 +756,11 @@ pub(crate) fn merge_campaign_blocks(
         .map(|(i, policy)| PolicyResult {
             policy: policy.clone(),
             iterations: config.iterations,
-            iterations_with_faults,
-            iterations_with_ue,
-            iterations_with_udr: udr_hits[i],
-            mean_error_ratio: error_ratio_sum / config.iterations as f64,
-            mean_udr: udr_sum[i] / config.iterations as f64,
+            iterations_with_faults: total.iterations_with_faults,
+            iterations_with_ue: total.iterations_with_ue,
+            iterations_with_udr: total.udr_hits[i],
+            mean_error_ratio: total.error_ratio_sum / config.iterations as f64,
+            mean_udr: total.udr_sum[i] / config.iterations as f64,
         })
         .collect();
     for r in &results {

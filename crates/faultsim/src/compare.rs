@@ -3,13 +3,13 @@
 //! Every scheme registered in [`soteria::policy::standard_schemes`] is
 //! swept over **identical** workloads, in two halves:
 //!
-//! * **Resilience** — the Monte Carlo fault campaign, re-using the exact
-//!   per-iteration seed streams of the main campaign
-//!   (`stream_seed(seed, i)`) and the fixed [`ITERATION_BLOCK`]
-//!   accumulation blocks, but assessing every scheme's
-//!   [`soteria::LossProfile`] through
-//!   [`ResilienceModel::assess_schemes`]. Paired comparison: one fault
-//!   history per iteration, all schemes judged against it.
+//! * **Resilience** — the campaign's own Monte Carlo loop (its
+//!   per-iteration seed streams, its fixed accumulation blocks and its
+//!   fold) with scrubbing off, judging every scheme's
+//!   [`soteria::LossProfile`] through the exact
+//!   [`soteria::analysis::ResilienceModel::assess_schemes`]. Paired
+//!   comparison: one fault history per iteration, all schemes judged
+//!   against it.
 //! * **Slowdown** — one deterministic write/read trace per scheme (the
 //!   same seeded operation stream for all of them) through a real
 //!   controller built from the scheme's trait config, costed with the
@@ -25,7 +25,7 @@
 //! campaign and crashck artifacts carry, and what the CI compare-smoke
 //! job checks with `cmp`.
 
-use soteria::analysis::{ResilienceModel, SchemeLoss};
+use soteria::analysis::SchemeLoss;
 use soteria::clone::CloningPolicy;
 use soteria::config::TreeUpdate;
 use soteria::policy::{standard_schemes, ProtectionPolicy, RecoveryStrategy};
@@ -33,9 +33,10 @@ use soteria::DataAddr;
 use soteria_nvm::timing::NvmTiming;
 use soteria_rt::json::Json;
 use soteria_rt::rng::{stream_seed, StdRng};
-use soteria_rt::thread::{fan_out, parallel_map};
+use soteria_rt::thread::parallel_map;
 
-use crate::campaign::{sample_fault_history_into, CampaignConfig, ITERATION_BLOCK};
+use crate::campaign::{fold_blocks, run_blocks, Assess, Block, CampaignConfig, ITERATION_BLOCK};
+use crate::job::field;
 use crate::FIVE_YEARS_HOURS;
 
 /// The seed stream index the slowdown trace draws from — far outside the
@@ -79,8 +80,9 @@ impl Default for CompareConfig {
 }
 
 impl CompareConfig {
-    /// The campaign config the resilience half borrows its geometry and
-    /// layout helpers from (same DIMM shape, same fault mix).
+    /// The campaign the resilience half runs: the Table 4 DIMM shape,
+    /// fault mix and Chipkill at this capacity and seed, scrubbing off,
+    /// and per-iteration records kept for the NDJSON.
     fn campaign(&self) -> CampaignConfig {
         let mut c = CampaignConfig::table4(self.fit_per_chip);
         c.capacity_bytes = self.capacity_bytes;
@@ -88,6 +90,7 @@ impl CompareConfig {
         c.iterations = self.iterations;
         c.seed = self.seed;
         c.threads = self.threads;
+        c.trace = true;
         c
     }
 }
@@ -160,31 +163,6 @@ fn recovery_label(strategy: RecoveryStrategy) -> &'static str {
     }
 }
 
-/// Per-block accumulator of the resilience half (the compare analogue of
-/// the campaign's fixed-block f64 accumulation).
-pub(crate) struct BlockAcc {
-    pub(crate) iterations_with_faults: u64,
-    pub(crate) iterations_with_ue: u64,
-    pub(crate) error_ratio_sum: f64,
-    pub(crate) udr_sum: Vec<f64>,
-    pub(crate) udr_hits: Vec<u64>,
-    /// NDJSON event lines drawn inside this block, in iteration order.
-    pub(crate) events: Vec<String>,
-}
-
-impl BlockAcc {
-    pub(crate) fn new(schemes: usize) -> Self {
-        Self {
-            iterations_with_faults: 0,
-            iterations_with_ue: 0,
-            error_ratio_sum: 0.0,
-            udr_sum: vec![0.0; schemes],
-            udr_hits: vec![0u64; schemes],
-            events: Vec::new(),
-        }
-    }
-}
-
 /// What the slowdown trace measured for one scheme.
 struct TraceCost {
     nvm_reads: u64,
@@ -245,33 +223,17 @@ fn run_trace(scheme: &dyn ProtectionPolicy, config: &CompareConfig) -> TraceCost
 /// For a fixed `config.seed` the artifacts are byte-identical at any
 /// `config.threads` value.
 pub fn run_compare(config: &CompareConfig) -> CompareOutput {
-    let blocks = config.iterations.div_ceil(ITERATION_BLOCK);
-    let all: Vec<u64> = (0..blocks).collect();
-    let tagged = run_compare_blocks(config, &all);
-    merge_compare_blocks(config, tagged)
+    let all: Vec<u64> = (0..config.iterations.div_ceil(ITERATION_BLOCK)).collect();
+    let blocks = run_compare_blocks(config, &all);
+    merge_compare_blocks(config, blocks)
 }
 
-/// One block's partial sums of the resilience half — the unit of work
-/// distribution, both across local threads and across fleet workers.
-pub(crate) struct CompareBlock {
-    /// Block index (`block * ITERATION_BLOCK` is its first iteration).
-    pub(crate) block: u64,
-    pub(crate) acc: BlockAcc,
-}
-
-/// Computes the resilience-half partials of the given accumulation
-/// blocks. A block's partials depend only on `(config, block)`, so any
-/// partition over threads or fleet workers yields bit-identical
-/// partials. Returned sorted by block index.
-pub(crate) fn run_compare_blocks(config: &CompareConfig, block_ids: &[u64]) -> Vec<CompareBlock> {
+/// The resilience half's blocks: the campaign loop over the registry's
+/// rows with the exact assessment.
+pub(crate) fn run_compare_blocks(config: &CompareConfig, block_ids: &[u64]) -> Vec<Block> {
     let schemes = standard_schemes();
-    let campaign = config.campaign();
-    let layout = campaign.build_layout();
-    let geometry = campaign.build_geometry(&layout);
-    let rates = campaign.rates.scaled_to(campaign.fit_per_chip);
-    let correctable_chips = campaign.correctable_chips;
     let clonings: Vec<CloningPolicy> = schemes.iter().map(|s| s.cloning()).collect();
-    let profiles: Vec<SchemeLoss<'_>> = clonings
+    let rows: Vec<SchemeLoss<'_>> = clonings
         .iter()
         .zip(schemes.iter())
         .map(|(cloning, scheme)| SchemeLoss {
@@ -279,114 +241,17 @@ pub(crate) fn run_compare_blocks(config: &CompareConfig, block_ids: &[u64]) -> V
             profile: scheme.loss_profile(),
         })
         .collect();
-
-    let workers = config.threads.max(1).min(block_ids.len().max(1));
-    let data_lines = layout.data_lines();
-    let per_worker: Vec<Vec<CompareBlock>> = fan_out(workers, |t| {
-        let model = ResilienceModel::new(&layout, &geometry);
-        let mut history = Vec::new();
-        let mut live = Vec::new();
-        let mut chips: Vec<u32> = Vec::new();
-        let mut out = Vec::new();
-        let mut i = t;
-        while i < block_ids.len() {
-            let block = block_ids[i];
-            let lo = block * ITERATION_BLOCK;
-            let hi = (lo + ITERATION_BLOCK).min(config.iterations);
-            let mut acc = BlockAcc::new(schemes.len());
-            for iter in lo..hi {
-                let mut rng = StdRng::seed_from_u64(stream_seed(config.seed, iter));
-                sample_fault_history_into(&mut rng, &geometry, &rates, config.hours, &mut history);
-                if history.is_empty() {
-                    continue;
-                }
-                acc.iterations_with_faults += 1;
-                live.clear();
-                live.extend(history.iter().map(|t| t.record.clone()));
-                chips.clear();
-                for f in &live {
-                    for &c in &f.chips {
-                        if !chips.contains(&c) {
-                            chips.push(c);
-                        }
-                    }
-                }
-                if chips.len() <= correctable_chips {
-                    continue; // Chipkill corrects any single chip.
-                }
-                let assessments = model.assess_schemes(&live, &profiles);
-                let mut any_ue = false;
-                for (i, a) in assessments.iter().enumerate() {
-                    if a.error_data_lines > 0 || a.unverifiable_data_lines > 0 {
-                        any_ue = true;
-                    }
-                    if i == 0 {
-                        acc.error_ratio_sum += a.error_ratio(data_lines);
-                    }
-                    let udr = a.udr(data_lines);
-                    if udr > 0.0 {
-                        acc.udr_sum[i] += udr;
-                        acc.udr_hits[i] += 1;
-                        acc.events.push(
-                            Json::Obj(vec![
-                                ("event".into(), Json::Str("scheme_udr".into())),
-                                ("iter".into(), Json::Num(iter as f64)),
-                                (
-                                    "seed".into(),
-                                    Json::Str(format!(
-                                        "{:#018x}",
-                                        stream_seed(config.seed, iter)
-                                    )),
-                                ),
-                                ("scheme".into(), Json::Str(schemes[i].name().into())),
-                                ("udr".into(), Json::Num(udr)),
-                            ])
-                            .to_string(),
-                        );
-                    }
-                }
-                if any_ue {
-                    acc.iterations_with_ue += 1;
-                }
-            }
-            out.push(CompareBlock { block, acc });
-            i += workers;
-        }
-        out
-    });
-
-    let mut tagged: Vec<CompareBlock> = per_worker.into_iter().flatten().collect();
-    tagged.sort_by_key(|b| b.block);
-    tagged
+    run_blocks(&config.campaign(), &rows, Assess::Exact, block_ids)
 }
 
-/// Folds block partials (in block order) into the full compare output:
-/// the deterministic slowdown half runs here, then both halves are
-/// serialized. The single reduction behind both the local runner and the
-/// fleet coordinator's merge, so their bytes cannot diverge.
-pub(crate) fn merge_compare_blocks(
-    config: &CompareConfig,
-    mut tagged: Vec<CompareBlock>,
-) -> CompareOutput {
+/// Folds resilience blocks into the full compare output: the
+/// deterministic slowdown half runs here, then both halves are
+/// serialized, the per-iteration UDR events rendered from the blocks'
+/// records.
+pub(crate) fn merge_compare_blocks(config: &CompareConfig, blocks: Vec<Block>) -> CompareOutput {
     let schemes = standard_schemes();
-    tagged.sort_by_key(|b| b.block);
-    let mut iterations_with_faults = 0u64;
-    let mut iterations_with_ue = 0u64;
-    let mut error_ratio_sum = 0.0f64;
-    let mut udr_sum = vec![0.0f64; schemes.len()];
-    let mut udr_hits = vec![0u64; schemes.len()];
-    let mut udr_events: Vec<String> = Vec::new();
-    for CompareBlock { acc, .. } in tagged {
-        iterations_with_faults += acc.iterations_with_faults;
-        iterations_with_ue += acc.iterations_with_ue;
-        error_ratio_sum += acc.error_ratio_sum;
-        for i in 0..schemes.len() {
-            udr_sum[i] += acc.udr_sum[i];
-            udr_hits[i] += acc.udr_hits[i];
-        }
-        udr_events.extend(acc.events);
-    }
-    let mean_error_ratio = error_ratio_sum / config.iterations as f64;
+    let total = fold_blocks(blocks, schemes.len());
+    let mean_error_ratio = total.error_ratio_sum / config.iterations as f64;
 
     // Slowdown half: one deterministic trace per scheme, in parallel,
     // collected in roster order.
@@ -406,8 +271,8 @@ pub(crate) fn merge_compare_blocks(
             cloning: scheme.cloning().to_string(),
             tree_update: tree_label(scheme.tree_update()),
             recovery: recovery_label(scheme.recovery()),
-            iterations_with_udr: udr_hits[i],
-            mean_udr: udr_sum[i] / config.iterations as f64,
+            iterations_with_udr: total.udr_hits[i],
+            mean_udr: total.udr_sum[i] / config.iterations as f64,
             mean_error_ratio,
             nvm_reads: cost.nvm_reads,
             nvm_writes: cost.nvm_writes,
@@ -466,11 +331,11 @@ pub(crate) fn merge_compare_blocks(
                 ("schemes".into(), Json::Num(schemes.len() as f64)),
                 (
                     "iterations_with_faults".into(),
-                    Json::Num(iterations_with_faults as f64),
+                    Json::Num(total.iterations_with_faults as f64),
                 ),
                 (
                     "iterations_with_ue".into(),
-                    Json::Num(iterations_with_ue as f64),
+                    Json::Num(total.iterations_with_ue as f64),
                 ),
                 (
                     "baseline_cost_ns".into(),
@@ -491,12 +356,23 @@ pub(crate) fn merge_compare_blocks(
     header.push(("schemes".into(), Json::Num(schemes.len() as f64)));
     ndjson.push_str(&Json::Obj(header).to_string());
     ndjson.push('\n');
-    for line in &udr_events {
-        ndjson.push_str(line);
-        ndjson.push('\n');
+    for r in &total.records {
+        let seed = format!("{:#018x}", stream_seed(config.seed, r.iter));
+        for (scheme, &udr) in schemes.iter().zip(&r.udr) {
+            if udr > 0.0 {
+                let event = Json::Obj(vec![
+                    ("event".into(), Json::Str("scheme_udr".into())),
+                    ("iter".into(), Json::Num(r.iter as f64)),
+                    ("seed".into(), Json::Str(seed.clone())),
+                    ("scheme".into(), Json::Str(scheme.name().into())),
+                    ("udr".into(), Json::Num(udr)),
+                ]);
+                ndjson.push_str(&event.to_string());
+                ndjson.push('\n');
+            }
+        }
     }
-    for (row, obj) in rows.iter().zip(scheme_objs) {
-        let _ = row;
+    for obj in scheme_objs {
         let mut entries = vec![("event".into(), Json::Str("scheme_result".into()))];
         if let Json::Obj(fields) = obj {
             entries.extend(fields);
@@ -509,8 +385,8 @@ pub(crate) fn merge_compare_blocks(
         rows,
         result_json: result.to_pretty_string(),
         ndjson,
-        iterations_with_faults,
-        iterations_with_ue,
+        iterations_with_faults: total.iterations_with_faults,
+        iterations_with_ue: total.iterations_with_ue,
     }
 }
 
@@ -519,71 +395,27 @@ pub(crate) fn merge_compare_blocks(
 ///
 /// Recognized fields (all optional; anything else is rejected):
 /// `fit`, `iterations` (≤ 10^6), `seed` (number or `"0x…"` string),
-/// `threads`, `capacity_bytes` (1 MiB–1 GiB), `trace_ops` (≤ 10^6).
+/// `threads` (≤ 256), `capacity_bytes` (1 MiB–1 GiB), `trace_ops` (≤ 10^6).
 ///
 /// # Errors
 ///
 /// Returns a one-line, field-naming message on any invalid input.
 pub fn compare_config_from_json(body: &Json) -> Result<CompareConfig, String> {
-    let entries = body
-        .entries()
-        .ok_or("compare config must be a JSON object")?;
-    let num = |v: &Json, field: &str| {
-        v.as_f64()
-            .ok_or_else(|| format!("field '{field}' must be a number"))
-    };
-    let positive_int = |v: &Json, field: &str| -> Result<u64, String> {
-        let n = num(v, field)?;
-        if n < 1.0 || n.fract() != 0.0 {
-            return Err(format!("field '{field}' must be a positive integer"));
-        }
-        Ok(n as u64)
-    };
     let mut config = CompareConfig::default();
-    for (key, value) in entries {
+    for (key, value) in field::entries(body, "compare")? {
         match key.as_str() {
-            "fit" => {
-                let fit = num(value, "fit")?;
-                if !(fit > 0.0 && fit.is_finite()) {
-                    return Err("field 'fit' must be a positive number".into());
-                }
-                config.fit_per_chip = fit;
-            }
-            "iterations" => {
-                let iters = positive_int(value, "iterations")?;
-                if iters > 1_000_000 {
-                    return Err("field 'iterations' must be at most 1000000".into());
-                }
-                config.iterations = iters;
-            }
-            "seed" => {
-                config.seed = match value {
-                    Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
-                    Json::Str(s) => {
-                        let hex = s.strip_prefix("0x").unwrap_or(s);
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|_| format!("field 'seed' has invalid hex value '{s}'"))?
-                    }
-                    _ => return Err("field 'seed' must be an integer or hex string".into()),
-                };
-            }
-            "threads" => {
-                config.threads = positive_int(value, "threads")? as usize;
-            }
+            "fit" => config.fit_per_chip = field::positive(value, "fit")?,
+            "iterations" => config.iterations = field::int_at_most(value, "iterations", 1_000_000)?,
+            "seed" => config.seed = field::seed(value)?,
+            "threads" => config.threads = field::threads(value)?,
             "capacity_bytes" => {
-                let bytes = positive_int(value, "capacity_bytes")?;
+                let bytes = field::positive_int(value, "capacity_bytes")?;
                 if !(1 << 20..=1u64 << 30).contains(&bytes) {
                     return Err("field 'capacity_bytes' must be between 1 MiB and 1 GiB".into());
                 }
                 config.capacity_bytes = bytes;
             }
-            "trace_ops" => {
-                let ops = positive_int(value, "trace_ops")?;
-                if ops > 1_000_000 {
-                    return Err("field 'trace_ops' must be at most 1000000".into());
-                }
-                config.trace_ops = ops;
-            }
+            "trace_ops" => config.trace_ops = field::int_at_most(value, "trace_ops", 1_000_000)?,
             other => {
                 return Err(format!(
                     "unknown field '{other}' (fit, iterations, seed, threads, capacity_bytes, \

@@ -32,6 +32,8 @@ use soteria_rt::json::Json;
 use soteria_rt::rng::stream_seed;
 use soteria_rt::thread::parallel_map;
 
+use crate::job::field;
+
 /// Tree-update modes of the matrix, in report order.
 const TREE_UPDATES: [(TreeUpdate, &str); 3] = [
     (TreeUpdate::Lazy, "lazy"),
@@ -546,62 +548,25 @@ pub fn run_crashck(config: &CrashckConfig) -> CrashckOutput {
 ///
 /// Recognized fields (all optional; anything else is rejected):
 /// `seed` (number or `"0x…"` string), `scripts_per_cell` (≤ 64),
-/// `max_txns` (≤ 16), `max_writes` (≤ 8), `threads`.
+/// `max_txns` (≤ 16), `max_writes` (≤ 8), `threads` (≤ 256).
 ///
 /// # Errors
 ///
 /// Returns a one-line, field-naming message on any invalid input.
 pub fn crashck_config_from_json(body: &Json) -> Result<CrashckConfig, String> {
-    let entries = body
-        .entries()
-        .ok_or("crashck config must be a JSON object")?;
-    let positive_int = |v: &Json, field: &str| -> Result<u64, String> {
-        let n = v
-            .as_f64()
-            .ok_or_else(|| format!("field '{field}' must be a number"))?;
-        if n < 1.0 || n.fract() != 0.0 {
-            return Err(format!("field '{field}' must be a positive integer"));
-        }
-        Ok(n as u64)
-    };
     let mut config = CrashckConfig::default();
-    for (key, value) in entries {
+    for (key, value) in field::entries(body, "crashck")? {
         match key.as_str() {
-            "seed" => {
-                config.seed = match value {
-                    Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
-                    Json::Str(s) => {
-                        let hex = s.strip_prefix("0x").unwrap_or(s);
-                        u64::from_str_radix(hex, 16)
-                            .map_err(|_| format!("field 'seed' has invalid hex value '{s}'"))?
-                    }
-                    _ => return Err("field 'seed' must be an integer or hex string".into()),
-                };
-            }
+            "seed" => config.seed = field::seed(value)?,
             "scripts_per_cell" => {
-                let n = positive_int(value, "scripts_per_cell")?;
-                if n > 64 {
-                    return Err("field 'scripts_per_cell' must be at most 64".into());
-                }
-                config.scripts_per_cell = n as usize;
+                config.scripts_per_cell =
+                    field::int_at_most(value, "scripts_per_cell", 64)? as usize;
             }
-            "max_txns" => {
-                let n = positive_int(value, "max_txns")?;
-                if n > 16 {
-                    return Err("field 'max_txns' must be at most 16".into());
-                }
-                config.max_txns = n as usize;
-            }
+            "max_txns" => config.max_txns = field::int_at_most(value, "max_txns", 16)? as usize,
             "max_writes" => {
-                let n = positive_int(value, "max_writes")?;
-                if n > 8 {
-                    return Err("field 'max_writes' must be at most 8".into());
-                }
-                config.max_writes = n as usize;
+                config.max_writes = field::int_at_most(value, "max_writes", 8)? as usize
             }
-            "threads" => {
-                config.threads = positive_int(value, "threads")? as usize;
-            }
+            "threads" => config.threads = field::threads(value)?,
             other => {
                 return Err(format!(
                     "unknown field '{other}' (seed, scripts_per_cell, max_txns, max_writes, \

@@ -61,7 +61,8 @@ pub fn parse_tree(name: &str) -> Result<TreeKind, String> {
 /// * `tree` — `toc` | `bmt`
 /// * `scrub_hours` — patrol-scrub interval (off when absent)
 /// * `seed` — RNG seed, as a number or a `"0x…"` hex string
-/// * `threads` — worker threads (results are identical for any value)
+/// * `threads` — worker threads, at most 256 (results are identical for
+///   any value)
 /// * `capacity_bytes` — protected capacity (default 16 GiB)
 ///
 /// The returned config always has `trace = true`: service jobs keep
@@ -71,39 +72,17 @@ pub fn parse_tree(name: &str) -> Result<TreeKind, String> {
 ///
 /// Returns a one-line, field-naming message on any invalid input.
 pub fn config_from_json(body: &Json) -> Result<CampaignConfig, String> {
-    let entries = body
-        .entries()
-        .ok_or("campaign config must be a JSON object")?;
-    let num = |v: &Json, field: &str| {
-        v.as_f64()
-            .ok_or_else(|| format!("field '{field}' must be a number"))
-    };
-    let positive_int = |v: &Json, field: &str| -> Result<u64, String> {
-        let n = num(v, field)?;
-        if n < 1.0 || n.fract() != 0.0 {
-            return Err(format!("field '{field}' must be a positive integer"));
-        }
-        Ok(n as u64)
-    };
     let mut config = CampaignConfig::table4(80.0);
-    for (key, value) in entries {
+    for (key, value) in field::entries(body, "campaign")? {
         match key.as_str() {
             "fit" => {
-                let fit = num(value, "fit")?;
-                if !(fit > 0.0 && fit.is_finite()) {
-                    return Err("field 'fit' must be a positive number".into());
-                }
                 // Only the target changes here; the campaign scales its
                 // mode mix to `fit_per_chip` at run time, exactly like
                 // the CLI path (identical config ⇒ identical bytes).
-                config.fit_per_chip = fit;
+                config.fit_per_chip = field::positive(value, "fit")?;
             }
             "iterations" => {
-                let iters = positive_int(value, "iterations")?;
-                if iters > 10_000_000 {
-                    return Err("field 'iterations' must be at most 10000000".into());
-                }
-                config.iterations = iters;
+                config.iterations = field::int_at_most(value, "iterations", 10_000_000)?
             }
             "ecc" => {
                 let name = value.as_str().ok_or("field 'ecc' must be a string")?;
@@ -114,29 +93,12 @@ pub fn config_from_json(body: &Json) -> Result<CampaignConfig, String> {
                 config.tree = parse_tree(name)?;
             }
             "scrub_hours" => {
-                let hours = num(value, "scrub_hours")?;
-                if !(hours > 0.0 && hours.is_finite()) {
-                    return Err("field 'scrub_hours' must be a positive number".into());
-                }
-                config.scrub_interval_hours = Some(hours);
+                config.scrub_interval_hours = Some(field::positive(value, "scrub_hours")?);
             }
-            "seed" => {
-                config.seed = match value {
-                    Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => *n as u64,
-                    Json::Str(s) => {
-                        let hex = s.strip_prefix("0x").unwrap_or(s);
-                        u64::from_str_radix(hex, 16).map_err(|_| {
-                            format!("field 'seed' has invalid hex value '{s}'")
-                        })?
-                    }
-                    _ => return Err("field 'seed' must be an integer or hex string".into()),
-                };
-            }
-            "threads" => {
-                config.threads = positive_int(value, "threads")? as usize;
-            }
+            "seed" => config.seed = field::seed(value)?,
+            "threads" => config.threads = field::threads(value)?,
             "capacity_bytes" => {
-                let bytes = positive_int(value, "capacity_bytes")?;
+                let bytes = field::positive_int(value, "capacity_bytes")?;
                 if !(1 << 20..=1u64 << 44).contains(&bytes) {
                     return Err("field 'capacity_bytes' must be between 1 MiB and 16 TiB".into());
                 }
@@ -152,6 +114,75 @@ pub fn config_from_json(body: &Json) -> Result<CampaignConfig, String> {
     }
     config.trace = true;
     Ok(config)
+}
+
+/// The field reader the three job-config parsers share, so a field such
+/// as `seed` or `threads` is read, bounded and reported alike whichever
+/// kind's body carries it.
+pub(crate) mod field {
+    use soteria_rt::json::Json;
+
+    /// The most worker threads a job body may ask for. A worker starts
+    /// up to this many threads per job, so the bound is what keeps one
+    /// request body from asking for millions.
+    const MAX_THREADS: u64 = 256;
+
+    /// The entries of a `kind` config body.
+    pub(crate) fn entries<'a>(body: &'a Json, kind: &str) -> Result<&'a [(String, Json)], String> {
+        body.entries()
+            .ok_or_else(|| format!("{kind} config must be a JSON object"))
+    }
+
+    /// `field` as a number.
+    fn num(v: &Json, field: &str) -> Result<f64, String> {
+        v.as_f64()
+            .ok_or_else(|| format!("field '{field}' must be a number"))
+    }
+
+    /// `field` as a positive, finite number.
+    pub(crate) fn positive(v: &Json, field: &str) -> Result<f64, String> {
+        let n = num(v, field)?;
+        if !(n > 0.0 && n.is_finite()) {
+            return Err(format!("field '{field}' must be a positive number"));
+        }
+        Ok(n)
+    }
+
+    /// `field` as a positive integer.
+    pub(crate) fn positive_int(v: &Json, field: &str) -> Result<u64, String> {
+        let n = num(v, field)?;
+        if n < 1.0 || n.fract() != 0.0 {
+            return Err(format!("field '{field}' must be a positive integer"));
+        }
+        Ok(n as u64)
+    }
+
+    /// `field` as a positive integer of at most `max`.
+    pub(crate) fn int_at_most(v: &Json, field: &str, max: u64) -> Result<u64, String> {
+        let n = positive_int(v, field)?;
+        if n > max {
+            return Err(format!("field '{field}' must be at most {max}"));
+        }
+        Ok(n)
+    }
+
+    /// The `seed` field: a non-negative integer or a `"0x…"` hex string.
+    pub(crate) fn seed(v: &Json) -> Result<u64, String> {
+        match v {
+            Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Ok(*n as u64),
+            Json::Str(s) => {
+                let hex = s.strip_prefix("0x").unwrap_or(s);
+                u64::from_str_radix(hex, 16)
+                    .map_err(|_| format!("field 'seed' has invalid hex value '{s}'"))
+            }
+            _ => Err("field 'seed' must be an integer or hex string".into()),
+        }
+    }
+
+    /// The `threads` field: a positive integer of at most [`MAX_THREADS`].
+    pub(crate) fn threads(v: &Json) -> Result<usize, String> {
+        Ok(int_at_most(v, "threads", MAX_THREADS)? as usize)
+    }
 }
 
 /// The campaign's machine-readable artifact: config echo, per-policy
@@ -269,7 +300,7 @@ pub enum JobSpec {
     /// A crash-consistency matrix sweep (`soteria-crashck/v1`).
     Crashck(crate::crashck::CrashckConfig),
     /// Blocks `lo..hi` of an inner job, producing a partial-sums
-    /// document (`soteria-blocks/v1`) instead of final artifacts.
+    /// document (`soteria-blocks/v2`) instead of final artifacts.
     Blocks {
         /// The job being sharded (never itself `Blocks`).
         spec: Box<JobSpec>,
@@ -339,22 +370,13 @@ impl JobSpec {
             JobSpec::Blocks { spec, .. } => spec.threads(),
         }
     }
-
-    /// The artifact schema this job emits.
-    pub fn schema(&self) -> &'static str {
-        match self {
-            JobSpec::Campaign(_) => "soteria-campaign/v1",
-            JobSpec::Compare(_) => "soteria-compare/v1",
-            JobSpec::Crashck(_) => "soteria-crashck/v1",
-            JobSpec::Blocks { .. } => "soteria-blocks/v1",
-        }
-    }
 }
 
 /// Runs any [`JobSpec`] and returns `(result_json, ndjson)` — the two
 /// artifact byte-streams every job kind produces. Thread-invariant for
 /// all kinds. A `Blocks` job returns its partial-sums document as the
-/// result and an empty trace (partials carry their events inline).
+/// result and an empty trace (partials carry their per-iteration records
+/// inline).
 pub fn run_spec(spec: &JobSpec) -> (String, String) {
     match spec {
         JobSpec::Campaign(config) => {
@@ -437,6 +459,33 @@ mod tests {
             let err = parse(body).unwrap_err();
             assert!(err.contains(needle), "{body} -> {err}");
         }
+    }
+
+    #[test]
+    fn every_wire_parser_caps_threads() {
+        // A body is parsed before any job runs, so a rejected thread
+        // count never reaches `fan_out` or `parallel_map`.
+        let huge = Json::parse(r#"{"threads": 1000000}"#).unwrap();
+        let most = Json::parse(r#"{"threads": 256}"#).unwrap();
+        let want = "field 'threads' must be at most 256";
+        for kind in ["campaign", "compare", "crashck"] {
+            assert_eq!(JobSpec::from_kind(kind, &huge).unwrap_err(), want, "{kind}");
+            let spec = JobSpec::from_kind(kind, &most).unwrap();
+            assert_eq!(spec.threads(), 256, "{kind}");
+            let shard = Json::Obj(vec![
+                ("kind".into(), Json::Str(kind.into())),
+                ("lo".into(), Json::Num(0.0)),
+                ("hi".into(), Json::Num(1.0)),
+                ("config".into(), huge.clone()),
+            ]);
+            let err = crate::shard::blocks_spec_from_json(&shard).unwrap_err();
+            assert_eq!(err, want, "{kind}");
+        }
+        assert_eq!(config_from_json(&huge).unwrap_err(), want);
+        let compare = crate::compare::compare_config_from_json(&huge);
+        assert_eq!(compare.unwrap_err(), want);
+        let crashck = crate::crashck::crashck_config_from_json(&huge);
+        assert_eq!(crashck.unwrap_err(), want);
     }
 
     #[test]

@@ -11,31 +11,35 @@
 //! `compare`, or `crashck`) at the same seed, regardless of shard count
 //! or worker failures.
 //!
-//! Two wire rules keep the contract exact:
+//! Campaign and compare share one Monte Carlo engine and so one block
+//! wire form: a block's partial sums plus one record per faulted
+//! iteration (its index, fault count, UE flag and per-scheme UDR). Each
+//! kind renders its own NDJSON from the records at merge, so no trace
+//! event crosses the wire. Two wire rules keep the contract exact:
 //!
-//! * **`f64` travels as bits.** Partial sums are serialized as the hex
-//!   of [`f64::to_bits`], never as decimal text, so no parse/print
-//!   round-trip can perturb the non-associative block fold.
-//! * **Trace vocabulary is interned.** [`soteria_rt::obs::TraceEvent`]
-//!   holds `&'static str` names; events parsed off the wire re-intern
-//!   every string against the fixed campaign vocabulary, rejecting
-//!   anything a current worker could not have emitted.
+//! * **`f64` travels as bits.** Partial sums and UDRs are serialized as
+//!   the hex of [`f64::to_bits`], never as decimal text, so no
+//!   parse/print round-trip can perturb the non-associative block fold.
+//! * **Shapes are checked.** A block's per-scheme arrays and every
+//!   record's UDR list must match the kind's roster, and a record's
+//!   iteration must lie in its block, in increasing order: a malformed
+//!   partial is a merge error, never an index past the end.
 
 use soteria::policy::standard_schemes;
 use soteria_rt::json::Json;
-use soteria_rt::obs::{Field, TraceEvent};
 
 use crate::campaign::{
-    merge_campaign_blocks, run_campaign_blocks, Accumulator, CampaignBlock, ITERATION_BLOCK,
+    block_iterations, merge_campaign_blocks, run_campaign_blocks, Accumulator, Block, IterRecord,
+    ITERATION_BLOCK,
 };
-use crate::compare::{merge_compare_blocks, run_compare_blocks, BlockAcc, CompareBlock};
+use crate::compare::{merge_compare_blocks, run_compare_blocks};
 use crate::crashck::{
     intern_unit_names, merge_crashck_units, run_crashck_units, total_units, UnitResult,
 };
 use crate::job::{kind_names, report_json, JobSpec, STANDARD_POLICIES};
 
 /// The partial-artifact schema version.
-pub const BLOCKS_SCHEMA: &str = "soteria-blocks/v1";
+pub const BLOCKS_SCHEMA: &str = "soteria-blocks/v2";
 
 /// How many distribution blocks `spec` comprises (the coordinator
 /// shards the range `0..total_blocks` over its workers).
@@ -53,7 +57,7 @@ pub fn total_blocks(spec: &JobSpec) -> u64 {
 }
 
 /// Computes the partial sums of blocks `lo..hi` of `spec` and
-/// serializes them as a `soteria-blocks/v1` document. The partial bytes
+/// serializes them as a `soteria-blocks/v2` document. The partial bytes
 /// depend only on `(spec, lo, hi)` — never on which worker ran them.
 ///
 /// An out-of-range or empty range yields a document with an empty
@@ -63,12 +67,12 @@ pub fn run_block_range(spec: &JobSpec, lo: u64, hi: u64) -> Json {
     let ids: Vec<u64> = (lo..hi).collect();
     let blocks = match spec {
         JobSpec::Campaign(config) => run_campaign_blocks(config, &STANDARD_POLICIES, &ids)
-            .into_iter()
-            .map(|b| campaign_block_wire(&b))
+            .iter()
+            .map(block_wire)
             .collect(),
         JobSpec::Compare(config) => run_compare_blocks(config, &ids)
-            .into_iter()
-            .map(|b| compare_block_wire(&b))
+            .iter()
+            .map(block_wire)
             .collect(),
         JobSpec::Crashck(config) => run_crashck_units(config, &ids)
             .into_iter()
@@ -123,11 +127,8 @@ pub fn merge_partials(spec: &JobSpec, partials: &[Json]) -> Result<(String, Stri
     let total = total_blocks(spec);
     match spec {
         JobSpec::Campaign(config) => {
-            let mut blocks = Vec::with_capacity(raw.len());
-            for obj in raw {
-                blocks.push(campaign_block_unwire(obj)?);
-            }
-            let blocks = dedup_covered(blocks, |b: &CampaignBlock| b.block, total)?;
+            let roster = STANDARD_POLICIES.len();
+            let blocks = unwire_blocks(&raw, kind, roster, config.iterations, total)?;
             let (results, trace) = merge_campaign_blocks(config, &STANDARD_POLICIES, blocks);
             Ok((
                 report_json(config, &results, &trace).to_pretty_string(),
@@ -135,11 +136,8 @@ pub fn merge_partials(spec: &JobSpec, partials: &[Json]) -> Result<(String, Stri
             ))
         }
         JobSpec::Compare(config) => {
-            let mut blocks = Vec::with_capacity(raw.len());
-            for obj in raw {
-                blocks.push(compare_block_unwire(obj)?);
-            }
-            let blocks = dedup_covered(blocks, |b: &CompareBlock| b.block, total)?;
+            let roster = standard_schemes().len();
+            let blocks = unwire_blocks(&raw, kind, roster, config.iterations, total)?;
             let output = merge_compare_blocks(config, blocks);
             Ok((output.result_json, output.ndjson))
         }
@@ -217,223 +215,103 @@ fn str_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("partial field '{what}' must be a string"))
 }
 
-fn f64_vec_wire(vs: &[f64]) -> Json {
-    Json::Arr(vs.iter().map(|&v| f64_wire(v)).collect())
-}
-
-fn u64_vec_wire(vs: &[u64]) -> Json {
-    Json::Arr(vs.iter().map(|&v| u64_wire(v)).collect())
-}
-
 fn arr_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a [Json], String> {
     v.and_then(Json::as_array)
         .ok_or_else(|| format!("partial field '{what}' must be an array"))
 }
 
 // ---------------------------------------------------------------------
-// Trace-event wire form and the fixed campaign vocabulary.
+// The Monte Carlo block wire form, shared by campaign and compare.
 // ---------------------------------------------------------------------
 
-/// Every `&'static str` a campaign block's trace events may carry:
-/// domains, event names, field keys, and policy labels. Parsing
-/// re-interns wire strings against this table — an unknown word is a
-/// protocol error, not a leaked allocation.
-const VOCABULARY: [&str; 13] = [
-    "campaign",
-    "iteration",
-    "policy_udr",
-    "iter",
-    "seed",
-    "faults",
-    "ue",
-    "policy",
-    "udr",
-    "baseline",
-    "src",
-    "sac",
-    "custom",
-];
-
-fn intern(s: &str) -> Result<&'static str, String> {
-    VOCABULARY
-        .iter()
-        .find(|v| **v == s)
-        .copied()
-        .ok_or_else(|| format!("unknown trace vocabulary word '{s}'"))
-}
-
-/// One typed field value as a single-entry object, tagged by type:
-/// `{"u": "0x…"}`, `{"i": "-3"}`, `{"f": "<bits>"}`, `{"h": "0x…"}`,
-/// `{"s": "baseline"}`, `{"b": true}`.
-fn field_wire(field: &Field) -> Json {
-    let (tag, value) = match field {
-        Field::U64(v) => ("u", u64_wire(*v)),
-        Field::I64(v) => ("i", Json::Str(v.to_string())),
-        Field::F64(v) => ("f", f64_wire(*v)),
-        Field::Hex(v) => ("h", u64_wire(*v)),
-        Field::Str(v) => ("s", Json::Str((*v).to_string())),
-        Field::Bool(v) => ("b", Json::Bool(*v)),
-    };
-    Json::Obj(vec![(tag.to_string(), value)])
-}
-
-fn field_unwire(obj: &Json) -> Result<Field, String> {
-    let entries = obj
-        .entries()
-        .ok_or("trace field value must be a tagged object")?;
-    let [(tag, value)] = entries else {
-        return Err("trace field value must hold exactly one tag".into());
-    };
-    match tag.as_str() {
-        "u" => Ok(Field::U64(u64_unwire(Some(value), "u")?)),
-        "i" => {
-            let s = str_unwire(Some(value), "i")?;
-            s.parse::<i64>()
-                .map(Field::I64)
-                .map_err(|_| format!("trace field 'i' has bad integer '{s}'"))
-        }
-        "f" => Ok(Field::F64(f64_unwire(Some(value), "f")?)),
-        "h" => Ok(Field::Hex(u64_unwire(Some(value), "h")?)),
-        "s" => Ok(Field::Str(intern(str_unwire(Some(value), "s")?)?)),
-        "b" => match value {
-            Json::Bool(b) => Ok(Field::Bool(*b)),
-            _ => Err("trace field 'b' must be a boolean".into()),
-        },
-        other => Err(format!("unknown trace field tag '{other}'")),
-    }
-}
-
-fn event_wire(event: &TraceEvent) -> Json {
-    Json::Obj(vec![
-        ("d".into(), Json::Str(event.domain.into())),
-        ("n".into(), Json::Str(event.name.into())),
-        (
-            "f".into(),
-            Json::Arr(
-                event
-                    .fields
-                    .iter()
-                    .map(|(k, v)| {
-                        Json::Arr(vec![Json::Str((*k).to_string()), field_wire(v)])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-fn event_unwire(obj: &Json) -> Result<TraceEvent, String> {
-    let domain = intern(str_unwire(obj.get("d"), "d")?)?;
-    let name = intern(str_unwire(obj.get("n"), "n")?)?;
-    let mut fields = Vec::new();
-    for pair in arr_unwire(obj.get("f"), "f")? {
-        let items = pair
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or("trace field must be a [key, value] pair")?;
-        let key = intern(
-            items[0]
-                .as_str()
-                .ok_or("trace field key must be a string")?,
-        )?;
-        fields.push((key, field_unwire(&items[1])?));
-    }
-    Ok(TraceEvent::new(domain, name, fields))
-}
-
-// ---------------------------------------------------------------------
-// Per-kind block wire forms.
-// ---------------------------------------------------------------------
-
-fn campaign_block_wire(b: &CampaignBlock) -> Json {
+fn block_wire(b: &Block) -> Json {
+    let f64s = |vs: &[f64]| Json::Arr(vs.iter().map(|&v| f64_wire(v)).collect());
+    let acc = &b.acc;
+    let records = acc.records.iter().map(|r| {
+        Json::Obj(vec![
+            ("iter".into(), u64_wire(r.iter)),
+            ("faults".into(), u64_wire(r.faults)),
+            ("ue".into(), Json::Bool(r.ue)),
+            ("udr".into(), f64s(&r.udr)),
+        ])
+    });
     Json::Obj(vec![
         ("block".into(), u64_wire(b.block)),
-        ("faults".into(), u64_wire(b.acc.iterations_with_faults)),
-        ("ue".into(), u64_wire(b.acc.iterations_with_ue)),
-        ("err".into(), f64_wire(b.acc.error_ratio_sum)),
-        ("udr_sum".into(), f64_vec_wire(&b.acc.per_policy_udr_sum)),
-        ("udr_hits".into(), u64_vec_wire(&b.acc.per_policy_udr_hits)),
+        ("faults".into(), u64_wire(acc.iterations_with_faults)),
+        ("ue".into(), u64_wire(acc.iterations_with_ue)),
+        ("err".into(), f64_wire(acc.error_ratio_sum)),
+        ("udr_sum".into(), f64s(&acc.udr_sum)),
         (
-            "events".into(),
-            Json::Arr(b.events.iter().map(event_wire).collect()),
+            "udr_hits".into(),
+            Json::Arr(acc.udr_hits.iter().map(|&v| u64_wire(v)).collect()),
         ),
+        ("records".into(), Json::Arr(records.collect())),
     ])
 }
 
-fn campaign_block_unwire(obj: &Json) -> Result<CampaignBlock, String> {
-    let mut acc = Accumulator::new(STANDARD_POLICIES.len());
-    acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
-    acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
-    acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
+/// Parses one block of a `kind` job whose roster has `schemes` rows and
+/// which runs `iterations` iterations.
+fn block_unwire(obj: &Json, kind: &str, schemes: usize, iterations: u64) -> Result<Block, String> {
+    let block = u64_unwire(obj.get("block"), "block")?;
     let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
     let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
-    if sums.len() != STANDARD_POLICIES.len() || hits.len() != STANDARD_POLICIES.len() {
-        return Err(format!(
-            "campaign block must carry {} per-policy sums",
-            STANDARD_POLICIES.len()
-        ));
-    }
-    for (i, v) in sums.iter().enumerate() {
-        acc.per_policy_udr_sum[i] = f64_unwire(Some(v), "udr_sum")?;
-    }
-    for (i, v) in hits.iter().enumerate() {
-        acc.per_policy_udr_hits[i] = u64_unwire(Some(v), "udr_hits")?;
-    }
-    let mut events = Vec::new();
-    for e in arr_unwire(obj.get("events"), "events")? {
-        events.push(event_unwire(e)?);
-    }
-    Ok(CampaignBlock {
-        block: u64_unwire(obj.get("block"), "block")?,
-        acc,
-        events,
-    })
-}
-
-fn compare_block_wire(b: &CompareBlock) -> Json {
-    Json::Obj(vec![
-        ("block".into(), u64_wire(b.block)),
-        ("faults".into(), u64_wire(b.acc.iterations_with_faults)),
-        ("ue".into(), u64_wire(b.acc.iterations_with_ue)),
-        ("err".into(), f64_wire(b.acc.error_ratio_sum)),
-        ("udr_sum".into(), f64_vec_wire(&b.acc.udr_sum)),
-        ("udr_hits".into(), u64_vec_wire(&b.acc.udr_hits)),
-        (
-            "events".into(),
-            // Compare events are fully-rendered NDJSON lines already;
-            // they pass through as opaque strings.
-            Json::Arr(b.acc.events.iter().map(|e| Json::Str(e.clone())).collect()),
-        ),
-    ])
-}
-
-fn compare_block_unwire(obj: &Json) -> Result<CompareBlock, String> {
-    let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
-    let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
-    let schemes = standard_schemes().len();
     if sums.len() != schemes || hits.len() != schemes {
-        return Err(format!(
-            "compare block must carry {schemes} per-scheme sums"
-        ));
+        return Err(format!("{kind} block must carry {schemes} per-scheme sums"));
     }
-    let mut acc = BlockAcc::new(schemes);
+    let mut acc = Accumulator::new(schemes);
+    for (i, (sum, hit)) in sums.iter().zip(hits).enumerate() {
+        acc.udr_sum[i] = f64_unwire(Some(sum), "udr_sum")?;
+        acc.udr_hits[i] = u64_unwire(Some(hit), "udr_hits")?;
+    }
     acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
     acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
     acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
-    for (i, v) in sums.iter().enumerate() {
-        acc.udr_sum[i] = f64_unwire(Some(v), "udr_sum")?;
+    let (lo, hi) = block_iterations(block, iterations);
+    let mut next = lo;
+    for r in arr_unwire(obj.get("records"), "records")? {
+        let iter = u64_unwire(r.get("iter"), "records.iter")?;
+        if !(next..hi).contains(&iter) {
+            return Err(format!(
+                "block {block} holds iteration {iter} out of order or outside the block"
+            ));
+        }
+        next = iter + 1;
+        let Some(&Json::Bool(ue)) = r.get("ue") else {
+            return Err("partial field 'records.ue' must be a boolean".into());
+        };
+        let udr = arr_unwire(r.get("udr"), "records.udr")?;
+        if udr.len() != schemes {
+            return Err(format!(
+                "{kind} iteration {iter} must carry {schemes} per-scheme UDRs"
+            ));
+        }
+        acc.records.push(IterRecord {
+            iter,
+            faults: u64_unwire(r.get("faults"), "records.faults")?,
+            ue,
+            udr: udr
+                .iter()
+                .map(|v| f64_unwire(Some(v), "records.udr"))
+                .collect::<Result<_, _>>()?,
+        });
     }
-    for (i, v) in hits.iter().enumerate() {
-        acc.udr_hits[i] = u64_unwire(Some(v), "udr_hits")?;
-    }
-    for e in arr_unwire(obj.get("events"), "events")? {
-        acc.events
-            .push(e.as_str().ok_or("compare event must be a string")?.to_string());
-    }
-    Ok(CompareBlock {
-        block: u64_unwire(obj.get("block"), "block")?,
-        acc,
-    })
+    Ok(Block { block, acc })
+}
+
+/// Parses every block of a `kind` job and checks that they cover
+/// `0..total` (see [`dedup_covered`]).
+fn unwire_blocks(
+    raw: &[&Json],
+    kind: &str,
+    schemes: usize,
+    iterations: u64,
+    total: u64,
+) -> Result<Vec<Block>, String> {
+    let blocks = raw
+        .iter()
+        .map(|obj| block_unwire(obj, kind, schemes, iterations))
+        .collect::<Result<Vec<_>, _>>()?;
+    dedup_covered(blocks, |b: &Block| b.block, total)
 }
 
 fn crashck_unit_wire(index: u64, r: &UnitResult) -> Json {
@@ -623,42 +501,88 @@ mod tests {
         assert_eq!(through_wire(&spec, &halves), single);
     }
 
+    /// A partial document of `kind` holding `blocks`.
+    fn partial_of(kind: &str, blocks: &[Block]) -> Json {
+        Json::Obj(vec![
+            ("schema".into(), Json::Str(BLOCKS_SCHEMA.into())),
+            ("kind".into(), Json::Str(kind.into())),
+            (
+                "blocks".into(),
+                Json::Arr(blocks.iter().map(block_wire).collect()),
+            ),
+        ])
+    }
+
     #[test]
-    fn merge_rejects_missing_blocks_and_bad_vocabulary() {
+    fn merge_rejects_missing_blocks_and_stray_records() {
         let spec = campaign_spec();
         let partial = Json::parse(&run_block_range(&spec, 0, 2).to_pretty_string()).unwrap();
         let err = merge_partials(&spec, &[partial]).unwrap_err();
         assert!(err.contains("missing block 2"), "{err}");
 
-        assert!(intern("campaign").is_ok());
-        let err = intern("stdout").unwrap_err();
-        assert!(err.contains("stdout"), "{err}");
+        // Iteration 64 is block 1's first; block 0 holds 0..64, and the
+        // last block of this 192-iteration job ends at 192.
+        let record = |iter| IterRecord {
+            iter,
+            faults: 1,
+            ue: false,
+            udr: vec![0.0; STANDARD_POLICIES.len()],
+        };
+        for (block, iters) in [
+            (0, vec![64]),
+            (2, vec![192]),
+            (1, vec![70, 65]),
+            (1, vec![66, 66]),
+        ] {
+            let mut acc = Accumulator::new(STANDARD_POLICIES.len());
+            acc.records = iters.iter().map(|&i| record(i)).collect();
+            let err = merge_partials(&spec, &[partial_of("campaign", &[Block { block, acc }])])
+                .unwrap_err();
+            assert!(
+                err.contains("out of order or outside the block"),
+                "{iters:?}: {err}"
+            );
+        }
     }
 
     #[test]
     fn merge_rejects_compare_blocks_with_a_different_roster() {
-        // Workers' partials arrive from the network: a block whose
-        // per-scheme arrays are shorter or longer than the registry must
-        // be an error, never an index past the end in the merge.
-        let spec = JobSpec::Compare(CompareConfig {
+        // Workers' partials arrive from the network: per-scheme arrays or
+        // per-iteration UDR lists shorter or longer than the kind's
+        // roster must be an error, never an index past the end in the
+        // merge — for both Monte Carlo kinds.
+        let compare = JobSpec::Compare(CompareConfig {
             iterations: 64,
             ..CompareConfig::default()
         });
-        for schemes in [0, 8, 10] {
-            let block = CompareBlock {
-                block: 0,
-                acc: BlockAcc::new(schemes),
-            };
-            let partial = Json::Obj(vec![
-                ("schema".into(), Json::Str(BLOCKS_SCHEMA.into())),
-                ("kind".into(), Json::Str("compare".into())),
-                ("blocks".into(), Json::Arr(vec![compare_block_wire(&block)])),
-            ]);
-            let err = merge_partials(&spec, &[partial]).unwrap_err();
-            assert_eq!(
-                err, "compare block must carry 9 per-scheme sums",
-                "{schemes} schemes"
-            );
+        for (spec, kind, roster) in [(campaign_spec(), "campaign", 3), (compare, "compare", 9)] {
+            for schemes in [0, roster - 1, roster + 1] {
+                let block = Block {
+                    block: 0,
+                    acc: Accumulator::new(schemes),
+                };
+                let err = merge_partials(&spec, &[partial_of(kind, &[block])]).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("{kind} block must carry {roster} per-scheme sums"),
+                    "{schemes} schemes"
+                );
+
+                let mut acc = Accumulator::new(roster);
+                acc.records.push(IterRecord {
+                    iter: 5,
+                    faults: 2,
+                    ue: true,
+                    udr: vec![0.5; schemes],
+                });
+                let err = merge_partials(&spec, &[partial_of(kind, &[Block { block: 0, acc }])])
+                    .unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("{kind} iteration 5 must carry {roster} per-scheme UDRs"),
+                    "{schemes} UDRs"
+                );
+            }
         }
     }
 

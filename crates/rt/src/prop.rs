@@ -594,7 +594,7 @@ fn run_case<S, F>(
 {
     let mut rng = StdRng::seed_from_u64(case_seed);
     let value = strategy.generate(&mut rng);
-    let Err(error) = test(&value) else {
+    let Err(error) = run_test(test, &value) else {
         return;
     };
 
@@ -608,7 +608,7 @@ fn run_case<S, F>(
                 break 'shrinking;
             }
             budget -= 1;
-            if let Err(e) = test(&candidate) {
+            if let Err(e) = run_test(test, &candidate) {
                 minimal = candidate;
                 minimal_error = e;
                 continue 'shrinking;
@@ -632,6 +632,22 @@ fn run_case<S, F>(
          minimal counterexample: {minimal:#?}\n\
          error: {minimal_error}"
     );
+}
+
+/// Runs the property body on one value. A panic in the code under test
+/// fails the case like an `Err` does, so it is shrunk and its seed is
+/// recorded instead of ending the run.
+fn run_test<V, F: Fn(&V) -> CaseResult>(test: &F, value: &V) -> CaseResult {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| test(value))).unwrap_or_else(
+        |payload| {
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default();
+            Err(format!("panicked: {message}"))
+        },
+    )
 }
 
 /// Asserts a condition inside a property body, failing the case (not the
@@ -860,6 +876,37 @@ mod tests {
         }));
         assert!(result.is_err());
         assert_eq!(load_regression_seeds(&path, "corpus_rt").len(), 1);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn panicking_property_is_shrunk_and_recorded() {
+        let dir = std::env::temp_dir().join("soteria_rt_prop_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("panic_corpus_{}.txt", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let minimal = std::cell::Cell::new(u64::MAX);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            check(
+                "panics_rt",
+                &Config::with_cases(20).regressions(&path),
+                &any::<u64>(),
+                |&v| {
+                    if v >= 10 {
+                        minimal.set(minimal.get().min(v));
+                        panic!("{v} is too big");
+                    }
+                    Ok(())
+                },
+            );
+        }));
+        let message = *result.unwrap_err().downcast::<String>().unwrap();
+        assert!(
+            message.contains("property `panics_rt` failed") && message.contains("panicked: 10 is"),
+            "the harness must report the shrunk panic: {message}"
+        );
+        assert_eq!(minimal.get(), 10, "the panicking case must shrink");
+        assert_eq!(load_regression_seeds(&path, "panics_rt").len(), 1);
         let _ = std::fs::remove_file(&path);
     }
 

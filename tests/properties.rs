@@ -1211,26 +1211,15 @@ impl Strategy for WireInputs<'_> {
     }
 }
 
-/// Runs `f`, turning a panic into the failing case's error.
-fn no_panic<T>(what: &str, f: impl FnOnce() -> T) -> Result<T, String> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|payload| {
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        format!("{what} panicked: {msg}")
-    })
-}
-
 #[test]
 fn network_parsers_fail_with_errors_not_panics() {
     // Every parser a peer's bytes reach: the HTTP framing both planes
     // share, the job-kind table behind every submit and shard body, and
     // the coordinator's merge of worker partials. Malformed input must
     // come back as a typed error; a panic would take down the reactor or
-    // the coordinator. The pinned corpus entry replays the roster-skewed
-    // compare partial that once indexed past its shortened arrays.
+    // the coordinator (`check` fails, shrinks and pins a panicking case
+    // like any other). The pinned corpus entry replays the seed that once
+    // found a roster-skewed compare partial indexing past its arrays.
     use soteria_suite::soteria_faultsim::{
         blocks_spec_from_json, merge_partials, run_block_range, total_blocks, CampaignConfig,
         CompareConfig, CrashckConfig, JobSpec,
@@ -1278,9 +1267,7 @@ fn network_parsers_fail_with_errors_not_panics() {
                     max_body_bytes: 16,
                 };
                 for limits in [ReadLimits::default(), small] {
-                    if let Ok(Some((_, consumed))) =
-                        no_panic("parse_request", || parse_request(bytes, &limits))?
-                    {
+                    if let Ok(Some((_, consumed))) = parse_request(bytes, &limits) {
                         prop_assert!(
                             consumed <= bytes.len(),
                             "consumed {consumed} of {}",
@@ -1288,24 +1275,24 @@ fn network_parsers_fail_with_errors_not_panics() {
                         );
                     }
                 }
-                no_panic("drain_budget", || drain_budget(bytes))?;
+                drain_budget(bytes);
                 Ok(())
             }
             WireInput::Kind(name, body) => {
-                let _ = no_panic("JobSpec::from_kind", || JobSpec::from_kind(name, body))?;
+                let _ = JobSpec::from_kind(name, body);
                 let shard = Json::Obj(vec![
                     ("kind".into(), Json::Str(name.clone())),
                     ("lo".into(), Json::Num(0.0)),
                     ("hi".into(), Json::Num(1.0)),
                     ("config".into(), body.clone()),
                 ]);
-                let _ = no_panic("blocks_spec_from_json", || blocks_spec_from_json(&shard))?;
-                let _ = no_panic("blocks_spec_from_json", || blocks_spec_from_json(body))?;
+                let _ = blocks_spec_from_json(&shard);
+                let _ = blocks_spec_from_json(body);
                 Ok(())
             }
             WireInput::Partials(per_job) => {
                 for ((spec, _), docs) in jobs.iter().zip(per_job) {
-                    let _ = no_panic("merge_partials", || merge_partials(spec, docs))?;
+                    let _ = merge_partials(spec, docs);
                 }
                 Ok(())
             }
