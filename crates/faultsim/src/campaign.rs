@@ -446,8 +446,7 @@ pub(crate) struct Block {
 }
 
 /// Per-worker scratch buffers reused across Monte Carlo iterations, so
-/// the hot loop allocates nothing per iteration in steady state (the
-/// order of every floating-point accumulation is unchanged).
+/// the hot loop allocates no scratch per iteration in steady state.
 struct IterScratch {
     history: Vec<TimedFault>,
     live: Vec<FaultRecord>,
