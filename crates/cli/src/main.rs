@@ -20,7 +20,7 @@ use soteria::recovery::recover;
 use soteria::{DataAddr, SecureMemoryConfig, SecureMemoryController};
 use soteria_faultsim::{
     cluster_mtbf_hours, estimate_clone_udr, report_json, run_campaign_traced, run_compare,
-    run_crashck, CampaignConfig, CompareConfig, CrashckConfig, STANDARD_POLICIES,
+    run_crashck, CampaignConfig, CompareConfig, CrashckConfig, JobSpec, STANDARD_POLICIES,
 };
 use soteria_faultsim::job::{parse_ecc, parse_tree};
 use soteria_rt::json::Json;
@@ -107,12 +107,9 @@ OPTIONS (by command):
       --trace PATH             write the controller/recovery event trace
   crashck
       --seed S                 script-stream seed, decimal or 0x-hex
-      --scripts N              transaction scripts per matrix cell (default 2,
-                               env SOTERIA_CRASHCK_SCRIPTS)
-      --txns N                 max transactions per script (default 6,
-                               env SOTERIA_CRASHCK_TXNS)
-      --writes N               max writes per transaction (default 3,
-                               env SOTERIA_CRASHCK_WRITES)
+      --scripts N              transaction scripts per matrix cell (default 2)
+      --txns N                 max transactions per script (default 6)
+      --writes N               max writes per transaction (default 3)
       --threads N              worker threads (report is byte-identical
                                for any N; default: all cores)
       --json PATH              write the soteria-crashck/v1 report
@@ -312,12 +309,8 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     config.capacity_bytes = args
         .get_num("capacity", config.capacity_bytes)
         .map_err(|e| e.to_string())?;
-    if let Some(t) = args.get("threads") {
-        config.threads = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad thread count '{t}'"))?;
+    if let Some(threads) = count_flag(args, "threads", "thread count")? {
+        config.threads = threads;
     }
     let trace_path = args.get("trace").map(str::to_string);
     let json_path = args.get("json").map(str::to_string);
@@ -389,12 +382,8 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
     if let Some(s) = args.get("seed") {
         config.seed = parse_seed(s)?;
     }
-    if let Some(t) = args.get("threads") {
-        config.threads = t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad thread count '{t}'"))?;
+    if let Some(threads) = count_flag(args, "threads", "thread count")? {
+        config.threads = threads;
     }
     println!(
         "comparing every registered scheme: FIT {}/chip, {} iterations, \
@@ -546,25 +535,14 @@ fn cmd_crash_demo(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// A bound for `crashck`, resolved flag > env knob > built-in default —
-/// the env knobs let CI pick smoke vs nightly scale without editing the
-/// workflow's command line.
-fn crashck_bound(args: &Args, flag: &str, env_key: &str, default: usize) -> Result<usize, String> {
-    if let Some(v) = args.get(flag) {
-        return v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad {flag} '{v}'"));
-    }
-    match std::env::var(env_key) {
-        Ok(v) => v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad {env_key} '{v}'")),
-        Err(_) => Ok(default),
-    }
+/// A positive count from `--flag`, `None` when the flag is unset; a bad
+/// value fails as `bad {what} '…'`.
+fn count_flag(args: &Args, flag: &str, what: &str) -> Result<Option<usize>, String> {
+    let Some(v) = args.get(flag) else {
+        return Ok(None);
+    };
+    let n = v.parse::<usize>().ok().filter(|&n| n > 0);
+    n.map(Some).ok_or_else(|| format!("bad {what} '{v}'"))
 }
 
 fn cmd_crashck(args: &Args) -> Result<(), String> {
@@ -572,18 +550,12 @@ fn cmd_crashck(args: &Args) -> Result<(), String> {
     if let Some(s) = args.get("seed") {
         config.seed = parse_seed(s)?;
     }
-    config.scripts_per_cell =
-        crashck_bound(args, "scripts", "SOTERIA_CRASHCK_SCRIPTS", config.scripts_per_cell)?;
-    config.max_txns = crashck_bound(args, "txns", "SOTERIA_CRASHCK_TXNS", config.max_txns)?;
-    config.max_writes = crashck_bound(args, "writes", "SOTERIA_CRASHCK_WRITES", config.max_writes)?;
-    config.threads = match args.get("threads") {
-        Some(t) => t
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .ok_or_else(|| format!("bad thread count '{t}'"))?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    let bound = |flag, default| count_flag(args, flag, flag).map(|n| n.unwrap_or(default));
+    config.scripts_per_cell = bound("scripts", config.scripts_per_cell)?;
+    config.max_txns = bound("txns", config.max_txns)?;
+    config.max_writes = bound("writes", config.max_writes)?;
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    config.threads = count_flag(args, "threads", "thread count")?.unwrap_or(cores);
     println!(
         "crashck: TreeUpdate x CloningPolicy x {{anubis,osiris}} matrix, \
          {} scripts/cell, <= {} txns x {} writes, seed {:#x}",
@@ -651,84 +623,90 @@ fn parse_seed(s: &str) -> Result<u64, String> {
     .map_err(|_| format!("bad seed '{s}' (decimal or 0x-hex)"))
 }
 
-/// Builds a `/v1/campaigns` request body from the campaign flags the
-/// user actually passed — unset fields fall to the server's Table-4
-/// defaults, mirroring `soteria campaign`.
-fn campaign_body(args: &Args) -> Result<Json, String> {
+/// One flag of a job body: the flag, its body field, and how the flag's
+/// text becomes the field's value (given the flag, to name it in errors).
+type BodyFlag = (&'static str, &'static str, fn(&str, &str) -> Result<Json, String>);
+
+/// Per job kind, the flags that set its wire body. Flags the user leaves
+/// out stay out of the body, so the kind's own defaults apply, as for the
+/// local command.
+const KIND_FLAGS: [(&str, &[BodyFlag]); 3] = [
+    (
+        "campaign",
+        &[
+            ("fit", "fit", num_field),
+            ("iters", "iterations", num_field),
+            ("scrub", "scrub_hours", num_field),
+            ("threads", "threads", num_field),
+            ("capacity", "capacity_bytes", num_field),
+            ("ecc", "ecc", |_, v| {
+                parse_ecc(v).map(|_| Json::Str(v.into()))
+            }),
+            ("tree", "tree", |_, v| {
+                parse_tree(v).map(|_| Json::Str(v.into()))
+            }),
+            ("seed", "seed", seed_field),
+        ],
+    ),
+    (
+        "compare",
+        &[
+            ("fit", "fit", num_field),
+            ("iters", "iterations", num_field),
+            ("ops", "trace_ops", num_field),
+            ("threads", "threads", num_field),
+            ("capacity", "capacity_bytes", num_field),
+            ("seed", "seed", seed_field),
+        ],
+    ),
+    (
+        "crashck",
+        &[
+            ("scripts", "scripts_per_cell", num_field),
+            ("txns", "max_txns", num_field),
+            ("writes", "max_writes", num_field),
+            ("threads", "threads", num_field),
+            ("seed", "seed", seed_field),
+        ],
+    ),
+];
+
+fn num_field(flag: &str, v: &str) -> Result<Json, String> {
+    v.parse()
+        .map(Json::Num)
+        .map_err(|_| format!("option --{flag}: '{v}' is not a valid number"))
+}
+
+/// A seed crosses the wire as a `"0x…"` string: a JSON number holds
+/// integers exactly only below 2^53.
+fn seed_field(_: &str, v: &str) -> Result<Json, String> {
+    Ok(Json::Str(format!("{:#x}", parse_seed(v)?)))
+}
+
+/// Builds a `kind` job's config body from the flags the user passed,
+/// using the service's field names (the kind's config parser in
+/// `soteria_faultsim`). A kind without flags gets an empty body.
+fn job_body(kind: &str, args: &Args) -> Result<Json, String> {
+    let flags = KIND_FLAGS
+        .iter()
+        .find(|(name, _)| *name == kind)
+        .map_or(&[][..], |(_, flags)| *flags);
     let mut fields: Vec<(String, Json)> = Vec::new();
-    let push_num = |key: &str, field: &str, fields: &mut Vec<(String, Json)>| {
-        if let Some(v) = args.get(key) {
-            let n: f64 = v
-                .parse()
-                .map_err(|_| format!("option --{key}: '{v}' is not a valid number"))?;
-            fields.push((field.into(), Json::Num(n)));
+    for &(flag, field, value) in flags {
+        if let Some(v) = args.get(flag) {
+            fields.push((field.into(), value(flag, v)?));
         }
-        Ok::<(), String>(())
-    };
-    push_num("fit", "fit", &mut fields)?;
-    push_num("iters", "iterations", &mut fields)?;
-    push_num("scrub", "scrub_hours", &mut fields)?;
-    push_num("threads", "threads", &mut fields)?;
-    push_num("capacity", "capacity_bytes", &mut fields)?;
-    if let Some(e) = args.get("ecc") {
-        parse_ecc(e)?; // fail here, not server-side
-        fields.push(("ecc".into(), Json::Str(e.into())));
-    }
-    if let Some(t) = args.get("tree") {
-        parse_tree(t)?;
-        fields.push(("tree".into(), Json::Str(t.into())));
-    }
-    if let Some(s) = args.get("seed") {
-        fields.push(("seed".into(), Json::Num(parse_seed(s)? as f64)));
     }
     Ok(Json::Obj(fields))
 }
 
-/// Builds a `compare` config body from the flags the user passed, using
-/// the service's field names (`soteria_faultsim::compare_config_from_json`).
-fn compare_body(args: &Args) -> Result<Json, String> {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let push_num = |key: &str, field: &str, fields: &mut Vec<(String, Json)>| {
-        if let Some(v) = args.get(key) {
-            let n: f64 = v
-                .parse()
-                .map_err(|_| format!("option --{key}: '{v}' is not a valid number"))?;
-            fields.push((field.into(), Json::Num(n)));
-        }
-        Ok::<(), String>(())
-    };
-    push_num("fit", "fit", &mut fields)?;
-    push_num("iters", "iterations", &mut fields)?;
-    push_num("ops", "trace_ops", &mut fields)?;
-    push_num("threads", "threads", &mut fields)?;
-    push_num("capacity", "capacity_bytes", &mut fields)?;
-    if let Some(s) = args.get("seed") {
-        fields.push(("seed".into(), Json::Num(parse_seed(s)? as f64)));
+/// Writes the bound address to `--port-file`, when given, for scripts.
+fn write_port_file(args: &Args, local: std::net::SocketAddr) -> Result<(), String> {
+    match args.get("port-file") {
+        Some(path) => std::fs::write(path, format!("{local}\n"))
+            .map_err(|e| format!("writing port file '{path}': {e}")),
+        None => Ok(()),
     }
-    Ok(Json::Obj(fields))
-}
-
-/// Builds a `crashck` config body from the flags the user passed, using
-/// the service's field names (`soteria_faultsim::crashck_config_from_json`).
-fn crashck_body(args: &Args) -> Result<Json, String> {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let push_num = |key: &str, field: &str, fields: &mut Vec<(String, Json)>| {
-        if let Some(v) = args.get(key) {
-            let n: f64 = v
-                .parse()
-                .map_err(|_| format!("option --{key}: '{v}' is not a valid number"))?;
-            fields.push((field.into(), Json::Num(n)));
-        }
-        Ok::<(), String>(())
-    };
-    push_num("scripts", "scripts_per_cell", &mut fields)?;
-    push_num("txns", "max_txns", &mut fields)?;
-    push_num("writes", "max_writes", &mut fields)?;
-    push_num("threads", "threads", &mut fields)?;
-    if let Some(s) = args.get("seed") {
-        fields.push(("seed".into(), Json::Num(parse_seed(s)? as f64)));
-    }
-    Ok(Json::Obj(fields))
 }
 
 /// Renders a non-2xx response as the server's one-line error message.
@@ -763,10 +741,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     };
     let server = Server::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
     let local = server.local_addr();
-    if let Some(path) = args.get("port-file") {
-        std::fs::write(path, format!("{local}\n"))
-            .map_err(|e| format!("writing port file '{path}': {e}"))?;
-    }
+    write_port_file(args, local)?;
     println!("soteria-svc listening on {local} ({workers} workers, queue capacity {queue})");
     println!("POST /v1/shutdown (or `soteria http --method POST --path /v1/shutdown`) drains and exits");
     let handle = server.handle();
@@ -777,7 +752,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
 fn cmd_submit(args: &Args) -> Result<(), String> {
     let addr = args.get_or("addr", "127.0.0.1:7787").to_string();
-    let body = campaign_body(args)?;
+    let body = job_body("campaign", args)?;
     let resp = client::post_json(&*addr, "/v1/campaigns", &body)
         .map_err(|e| format!("connecting to {addr}: {e}"))?;
     if resp.status != 202 {
@@ -894,7 +869,7 @@ fn split_round_robin(clients: usize, targets: usize) -> Vec<usize> {
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
     use std::net::ToSocketAddrs;
     let clients = args.get_num("clients", 16usize).map_err(|e| e.to_string())?;
-    let body = campaign_body(args)?;
+    let body = job_body("campaign", args)?;
     let targets = match args.get("targets") {
         Some(spec) => parse_targets(spec)?,
         None => {
@@ -946,12 +921,9 @@ fn cmd_loadgen(args: &Args) -> Result<(), String> {
 
 fn cmd_coordinate(args: &Args) -> Result<(), String> {
     let kind = args.get_or("kind", "campaign").to_string();
-    let body = match kind.as_str() {
-        "campaign" => campaign_body(args)?,
-        "compare" => compare_body(args)?,
-        "crashck" => crashck_body(args)?,
-        other => return Err(format!("unknown kind '{other}' (campaign|compare|crashck)")),
-    };
+    let body = job_body(&kind, args)?;
+    // An unknown kind or a bad config fails here, before the bind.
+    JobSpec::from_kind(&kind, &body)?;
     let addr = args.get_or("addr", "127.0.0.1:7799").to_string();
     let mut config = FleetConfig {
         min_workers: args
@@ -967,10 +939,7 @@ fn cmd_coordinate(args: &Args) -> Result<(), String> {
     let coordinator =
         Coordinator::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
     let local = coordinator.local_addr();
-    if let Some(path) = args.get("port-file") {
-        std::fs::write(path, format!("{local}\n"))
-            .map_err(|e| format!("writing port file '{path}': {e}"))?;
-    }
+    write_port_file(args, local)?;
     eprintln!(
         "fleet coordinator on {local}: {kind} job, waiting for {} worker(s)",
         args.get_or("min-workers", "1")
@@ -1008,10 +977,7 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
     };
     let server = Server::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
     let local = server.local_addr();
-    if let Some(path) = args.get("port-file") {
-        std::fs::write(path, format!("{local}\n"))
-            .map_err(|e| format!("writing port file '{path}': {e}"))?;
-    }
+    write_port_file(args, local)?;
     let advertise = args.get_or("advertise", &local.to_string()).to_string();
     println!("fleet worker on {local} ({workers} job threads), registering with {coordinator}");
     // Register from a side thread with patient retries: the worker may
@@ -1133,12 +1099,12 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let body = campaign_body(&args).unwrap();
+        let body = job_body("campaign", &args).unwrap();
         assert_eq!(body.get("fit").and_then(Json::as_f64), Some(1500.0));
         assert_eq!(body.get("iterations").and_then(Json::as_f64), Some(200.0));
         assert_eq!(body.get("ecc").and_then(Json::as_str), Some("double"));
         assert_eq!(body.get("tree").and_then(Json::as_str), Some("bmt"));
-        assert_eq!(body.get("seed").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(body.get("seed").and_then(Json::as_str), Some("0x7"));
         assert_eq!(
             body.get("capacity_bytes").and_then(Json::as_f64),
             Some(67108864.0)
@@ -1147,7 +1113,33 @@ mod tests {
         assert!(body.get("threads").is_none());
         // And bad values fail locally with the option name.
         let bad = Args::parse(["submit".into(), "--ecc".into(), "raid".into()]).unwrap();
-        assert!(campaign_body(&bad).unwrap_err().contains("unknown ecc 'raid'"));
+        assert!(job_body("campaign", &bad).unwrap_err().contains("unknown ecc 'raid'"));
+        let bad = Args::parse(["submit".into(), "--fit".into(), "hot".into()]).unwrap();
+        let err = job_body("campaign", &bad).unwrap_err();
+        assert_eq!(err, "option --fit: 'hot' is not a valid number");
+    }
+
+    #[test]
+    fn seeds_survive_the_wire_for_every_kind() {
+        // Past 2^53 a seed sent as a JSON number would be rounded
+        // (0x1234567890abcdef arrived as 0x1234567890abce00).
+        let args = Args::parse(
+            "submit --seed 0x1234567890abcdef"
+                .split_whitespace()
+                .map(String::from),
+        )
+        .unwrap();
+        for (kind, _) in KIND_FLAGS {
+            let body = job_body(kind, &args).unwrap();
+            let wire = Json::parse(&body.to_string()).unwrap();
+            let spec = JobSpec::from_kind(kind, &wire).unwrap();
+            let seed = match spec {
+                JobSpec::Campaign(c) => c.seed,
+                JobSpec::Compare(c) => c.seed,
+                JobSpec::Crashck(c) => c.seed,
+            };
+            assert_eq!(seed, 0x1234_5678_90ab_cdef, "{kind}");
+        }
     }
 
     #[test]
@@ -1158,11 +1150,11 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let body = compare_body(&args).unwrap();
+        let body = job_body("compare", &args).unwrap();
         assert_eq!(body.get("fit").and_then(Json::as_f64), Some(1500.0));
         assert_eq!(body.get("iterations").and_then(Json::as_f64), Some(128.0));
         assert_eq!(body.get("trace_ops").and_then(Json::as_f64), Some(512.0));
-        assert_eq!(body.get("seed").and_then(Json::as_f64), Some(9.0));
+        assert_eq!(body.get("seed").and_then(Json::as_str), Some("0x9"));
 
         let args = Args::parse(
             "coordinate --kind crashck --scripts 2 --txns 4 --writes 3 --threads 2"
@@ -1170,7 +1162,7 @@ mod tests {
                 .map(String::from),
         )
         .unwrap();
-        let body = crashck_body(&args).unwrap();
+        let body = job_body("crashck", &args).unwrap();
         assert_eq!(body.get("scripts_per_cell").and_then(Json::as_f64), Some(2.0));
         assert_eq!(body.get("max_txns").and_then(Json::as_f64), Some(4.0));
         assert_eq!(body.get("max_writes").and_then(Json::as_f64), Some(3.0));

@@ -137,6 +137,21 @@ fn perf_rejects_unknown_workload() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown workload"));
 }
 
+/// `coordinate --kind` goes through the job-kind table, so an unknown
+/// kind gets the table's message before any port is bound.
+#[test]
+fn coordinate_rejects_an_unknown_kind() {
+    let out = soteria()
+        .args(["coordinate", "--kind", "nope", "--addr", "127.0.0.1:0"])
+        .output()
+        .expect("spawn");
+    assert!(!out.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: unknown kind 'nope' (campaign, compare, crashck)\n"
+    );
+}
+
 #[test]
 fn crash_demo_with_fault_recovers_under_src() {
     let out = soteria()

@@ -16,8 +16,9 @@
 //!
 //! The loop is the one Monte Carlo engine of this crate: `compare` runs
 //! its resilience half on it too, with its own scheme rows and the exact
-//! assessment (see [`run_blocks`]).
+//! assessment (see `run_blocks`).
 
+use soteria_rt::json::Json;
 use soteria_rt::obs::{Field, TraceBuffer};
 use soteria_rt::obs_fields;
 use soteria_rt::rng::{stream_seed, StdRng};
@@ -30,6 +31,7 @@ use soteria_nvm::fault::{FaultFootprint, FaultKind, FaultRecord};
 use soteria_nvm::geometry::DimmGeometry;
 
 use crate::rates::{FaultMode, FitRates};
+use crate::shard::{arr_unwire, dedup_covered, f64_unwire, f64_wire, u64_unwire, u64_wire};
 use crate::FIVE_YEARS_HOURS;
 
 /// Configuration of one campaign (Table 4 defaults).
@@ -443,6 +445,102 @@ pub(crate) struct Block {
     /// Block index (see [`block_iterations`]).
     pub(crate) block: u64,
     pub(crate) acc: Accumulator,
+}
+
+/// The Monte Carlo block wire form, shared by campaign and compare: the
+/// block's sums plus one record per faulted iteration, every `f64` as the
+/// hex of its bits (see [`crate::shard`]).
+impl Block {
+    pub(crate) fn to_wire(&self) -> Json {
+        let f64s = |vs: &[f64]| Json::Arr(vs.iter().map(|&v| f64_wire(v)).collect());
+        let acc = &self.acc;
+        let records = acc.records.iter().map(|r| {
+            Json::Obj(vec![
+                ("iter".into(), u64_wire(r.iter)),
+                ("faults".into(), u64_wire(r.faults)),
+                ("ue".into(), Json::Bool(r.ue)),
+                ("udr".into(), f64s(&r.udr)),
+            ])
+        });
+        Json::Obj(vec![
+            ("block".into(), u64_wire(self.block)),
+            ("faults".into(), u64_wire(acc.iterations_with_faults)),
+            ("ue".into(), u64_wire(acc.iterations_with_ue)),
+            ("err".into(), f64_wire(acc.error_ratio_sum)),
+            ("udr_sum".into(), f64s(&acc.udr_sum)),
+            (
+                "udr_hits".into(),
+                Json::Arr(acc.udr_hits.iter().map(|&v| u64_wire(v)).collect()),
+            ),
+            ("records".into(), Json::Arr(records.collect())),
+        ])
+    }
+
+    /// Parses one block of a `kind` job whose roster has `schemes` rows
+    /// and which runs `iterations` iterations. The per-scheme arrays and
+    /// every record's UDR list must match the roster, and a record's
+    /// iteration must lie in its block, in increasing order.
+    fn from_wire(obj: &Json, kind: &str, schemes: usize, iterations: u64) -> Result<Block, String> {
+        let block = u64_unwire(obj.get("block"), "block")?;
+        let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
+        let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
+        if sums.len() != schemes || hits.len() != schemes {
+            return Err(format!("{kind} block must carry {schemes} per-scheme sums"));
+        }
+        let mut acc = Accumulator::new(schemes);
+        for (i, (sum, hit)) in sums.iter().zip(hits).enumerate() {
+            acc.udr_sum[i] = f64_unwire(Some(sum), "udr_sum")?;
+            acc.udr_hits[i] = u64_unwire(Some(hit), "udr_hits")?;
+        }
+        acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
+        acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
+        acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
+        let (lo, hi) = block_iterations(block, iterations);
+        let mut next = lo;
+        for r in arr_unwire(obj.get("records"), "records")? {
+            let iter = u64_unwire(r.get("iter"), "records.iter")?;
+            if !(next..hi).contains(&iter) {
+                return Err(format!(
+                    "block {block} holds iteration {iter} out of order or outside the block"
+                ));
+            }
+            next = iter + 1;
+            let Some(&Json::Bool(ue)) = r.get("ue") else {
+                return Err("partial field 'records.ue' must be a boolean".into());
+            };
+            let udr = arr_unwire(r.get("udr"), "records.udr")?;
+            if udr.len() != schemes {
+                return Err(format!(
+                    "{kind} iteration {iter} must carry {schemes} per-scheme UDRs"
+                ));
+            }
+            acc.records.push(IterRecord {
+                iter,
+                faults: u64_unwire(r.get("faults"), "records.faults")?,
+                ue,
+                udr: udr
+                    .iter()
+                    .map(|v| f64_unwire(Some(v), "records.udr"))
+                    .collect::<Result<_, _>>()?,
+            });
+        }
+        Ok(Block { block, acc })
+    }
+
+    /// Parses every block of a `kind` job (see [`Block::from_wire`]) and
+    /// checks that they cover the job's blocks (see [`dedup_covered`]).
+    pub(crate) fn unwire_all(
+        raw: &[&Json],
+        kind: &str,
+        schemes: usize,
+        iterations: u64,
+    ) -> Result<Vec<Block>, String> {
+        let blocks = raw
+            .iter()
+            .map(|obj| Block::from_wire(obj, kind, schemes, iterations))
+            .collect::<Result<Vec<_>, _>>()?;
+        dedup_covered(blocks, |b| b.block, iterations.div_ceil(ITERATION_BLOCK))
+    }
 }
 
 /// Per-worker scratch buffers reused across Monte Carlo iterations, so

@@ -36,7 +36,7 @@ use soteria_rt::rng::{stream_seed, StdRng};
 use soteria_rt::thread::parallel_map;
 
 use crate::campaign::{fold_blocks, run_blocks, Assess, Block, CampaignConfig, ITERATION_BLOCK};
-use crate::job::field;
+use crate::job::{field, Job};
 use crate::FIVE_YEARS_HOURS;
 
 /// The seed stream index the slowdown trace draws from — far outside the
@@ -223,14 +223,40 @@ fn run_trace(scheme: &dyn ProtectionPolicy, config: &CompareConfig) -> TraceCost
 /// For a fixed `config.seed` the artifacts are byte-identical at any
 /// `config.threads` value.
 pub fn run_compare(config: &CompareConfig) -> CompareOutput {
-    let all: Vec<u64> = (0..config.iterations.div_ceil(ITERATION_BLOCK)).collect();
+    let all: Vec<u64> = (0..config.total_blocks()).collect();
     let blocks = run_compare_blocks(config, &all);
     merge_compare_blocks(config, blocks)
 }
 
+/// The compare kind: [`run_compare`] for the whole job, and the campaign's
+/// Monte Carlo block form over the registry's rows for its shards (the
+/// slowdown half runs once, at merge).
+impl Job for CompareConfig {
+    fn run(&self) -> (String, String) {
+        let output = run_compare(self);
+        (output.result_json, output.ndjson)
+    }
+
+    fn total_blocks(&self) -> u64 {
+        self.iterations.div_ceil(ITERATION_BLOCK)
+    }
+
+    fn run_blocks(&self, ids: &[u64]) -> Vec<Json> {
+        let blocks = run_compare_blocks(self, ids);
+        blocks.iter().map(Block::to_wire).collect()
+    }
+
+    fn merge_blocks(&self, blocks: &[&Json]) -> Result<(String, String), String> {
+        let rows = standard_schemes().len();
+        let blocks = Block::unwire_all(blocks, "compare", rows, self.iterations)?;
+        let output = merge_compare_blocks(self, blocks);
+        Ok((output.result_json, output.ndjson))
+    }
+}
+
 /// The resilience half's blocks: the campaign loop over the registry's
 /// rows with the exact assessment.
-pub(crate) fn run_compare_blocks(config: &CompareConfig, block_ids: &[u64]) -> Vec<Block> {
+fn run_compare_blocks(config: &CompareConfig, block_ids: &[u64]) -> Vec<Block> {
     let schemes = standard_schemes();
     let clonings: Vec<CloningPolicy> = schemes.iter().map(|s| s.cloning()).collect();
     let rows: Vec<SchemeLoss<'_>> = clonings
@@ -248,7 +274,7 @@ pub(crate) fn run_compare_blocks(config: &CompareConfig, block_ids: &[u64]) -> V
 /// deterministic slowdown half runs here, then both halves are
 /// serialized, the per-iteration UDR events rendered from the blocks'
 /// records.
-pub(crate) fn merge_compare_blocks(config: &CompareConfig, blocks: Vec<Block>) -> CompareOutput {
+fn merge_compare_blocks(config: &CompareConfig, blocks: Vec<Block>) -> CompareOutput {
     let schemes = standard_schemes();
     let total = fold_blocks(blocks, schemes.len());
     let mean_error_ratio = total.error_ratio_sum / config.iterations as f64;

@@ -32,7 +32,8 @@ use soteria_rt::json::Json;
 use soteria_rt::rng::stream_seed;
 use soteria_rt::thread::parallel_map;
 
-use crate::job::field;
+use crate::job::{field, Job};
+use crate::shard::{dedup_covered, str_unwire, u64_unwire, u64_wire};
 
 /// Tree-update modes of the matrix, in report order.
 const TREE_UPDATES: [(TreeUpdate, &str); 3] = [
@@ -57,8 +58,8 @@ const RECOVERIES: [(&str, OracleMode); 2] = [
 ];
 
 /// Campaign bounds. The defaults are the PR-smoke scale; the nightly
-/// exhaustive job raises them via the `SOTERIA_CRASHCK_*` env knobs
-/// (read by the CLI, not here — the library stays hermetic).
+/// exhaustive job raises them with `soteria crashck --scripts`, `--txns`
+/// and `--writes`.
 #[derive(Clone, Debug)]
 pub struct CrashckConfig {
     /// Base seed; scripts draw from per-unit `stream_seed` streams.
@@ -237,18 +238,18 @@ fn crash_run(
 }
 
 /// The verdict of one (cell, script) sweep.
-pub(crate) struct UnitResult {
-    pub(crate) cell: String,
-    pub(crate) tree: &'static str,
-    pub(crate) policy: &'static str,
-    pub(crate) recovery: &'static str,
-    pub(crate) mode: OracleMode,
-    pub(crate) seed: u64,
-    pub(crate) script: String,
-    pub(crate) txns: usize,
-    pub(crate) points: u64,
-    pub(crate) committed_total: usize,
-    pub(crate) divergence: Option<Divergence>,
+struct UnitResult {
+    cell: String,
+    tree: &'static str,
+    policy: &'static str,
+    recovery: &'static str,
+    mode: OracleMode,
+    seed: u64,
+    script: String,
+    txns: usize,
+    points: u64,
+    committed_total: usize,
+    divergence: Option<Divergence>,
 }
 
 fn run_unit(
@@ -291,31 +292,24 @@ fn run_unit(
             census_fault = Some(format!("WPQ journal violates the queue discipline: {e}"));
         }
     }
-    if let Some(reason) = census_fault {
-        return UnitResult {
-            cell,
-            tree: tree_name,
-            policy: policy.name(),
-            recovery,
-            mode,
-            seed,
-            script: describe_script(&script),
-            txns: script.len(),
-            points: 0,
-            committed_total: census.commit_events.len(),
-            divergence: Some(Divergence {
+    let (points, divergence) = match census_fault {
+        Some(reason) => (
+            0,
+            Some(Divergence {
                 point: 0,
                 reason,
                 trace_tail: String::new(),
             }),
-        };
-    }
-
-    // Phase 2: exhaustive crash-point sweep (single-threaded inside the
-    // unit; units themselves are the parallel grain).
-    let verdict = check_script(&script, &census, mode, 1, |point| {
-        crash_run(update, policy, recovery, &script, point)
-    });
+        ),
+        // Phase 2: exhaustive crash-point sweep (single-threaded inside
+        // the unit; units themselves are the parallel grain).
+        None => {
+            let verdict = check_script(&script, &census, mode, 1, |point| {
+                crash_run(update, policy, recovery, &script, point)
+            });
+            (verdict.points_checked, verdict.divergence)
+        }
+    };
     UnitResult {
         cell,
         tree: tree_name,
@@ -325,9 +319,9 @@ fn run_unit(
         seed,
         script: describe_script(&script),
         txns: script.len(),
-        points: verdict.points_checked,
+        points,
         committed_total: census.commit_events.len(),
-        divergence: verdict.divergence,
+        divergence,
     }
 }
 
@@ -336,94 +330,28 @@ fn describe_script(script: &[Tx]) -> String {
     groups.join(";")
 }
 
-/// Re-interns unit names parsed off the fleet wire back into the fixed
-/// matrix vocabulary (`&'static str` labels plus the oracle mode implied
-/// by the recovery path).
-pub(crate) fn intern_unit_names(
-    tree: &str,
-    policy: &str,
-    recovery: &str,
-) -> Result<(&'static str, &'static str, &'static str, OracleMode), String> {
-    let tree = TREE_UPDATES
-        .iter()
-        .find(|(_, n)| *n == tree)
-        .map(|&(_, n)| n)
-        .ok_or_else(|| format!("unknown tree name '{tree}'"))?;
-    let policy = POLICIES
-        .iter()
-        .map(CloningPolicy::name)
-        .find(|n| *n == policy)
-        .ok_or_else(|| format!("unknown policy name '{policy}'"))?;
-    let (recovery, mode) = RECOVERIES
-        .iter()
-        .find(|(n, _)| *n == recovery)
-        .copied()
-        .ok_or_else(|| format!("unknown recovery name '{recovery}'"))?;
-    Ok((tree, policy, recovery, mode))
+/// Sweeps unit `index` of the flat unit list: cells × scripts, tree
+/// update outermost and script innermost. Unit `i` always denotes the
+/// same `(cell, script seed)` pair for a given config, which is what
+/// makes units distributable across fleet workers.
+fn run_indexed_unit(config: &CrashckConfig, index: u64) -> UnitResult {
+    let scripts = config.scripts_per_cell.max(1) as u64;
+    let cell = (index / scripts) as usize;
+    let (recovery, mode) = RECOVERIES[cell % RECOVERIES.len()];
+    let policy = &POLICIES[cell / RECOVERIES.len() % POLICIES.len()];
+    let (update, tree_name) = TREE_UPDATES[cell / (RECOVERIES.len() * POLICIES.len())];
+    let seed = stream_seed(config.seed, index);
+    run_unit(update, tree_name, policy, recovery, mode, seed, config)
 }
 
-/// One matrix unit's inputs: `(update, tree name, policy, recovery,
-/// mode, script seed)` — the element type of [`unit_list`].
-type UnitSpec = (
-    TreeUpdate,
-    &'static str,
-    CloningPolicy,
-    &'static str,
-    OracleMode,
-    u64,
-);
-
-/// The flat unit list: cells × scripts, in deterministic order. Unit
-/// `i` always denotes the same `(cell, script seed)` pair for a given
-/// config, which is what makes units distributable across fleet
-/// workers.
-fn unit_list(config: &CrashckConfig) -> Vec<UnitSpec> {
-    let mut units = Vec::new();
-    let mut unit_no = 0u64;
-    for (update, tree_name) in TREE_UPDATES {
-        for policy in &POLICIES {
-            for (recovery, mode) in RECOVERIES {
-                for _ in 0..config.scripts_per_cell.max(1) {
-                    units.push((
-                        update,
-                        tree_name,
-                        policy.clone(),
-                        recovery,
-                        mode,
-                        stream_seed(config.seed, unit_no),
-                    ));
-                    unit_no += 1;
-                }
-            }
-        }
-    }
-    units
-}
-
-/// How many units (distribution blocks) the campaign comprises.
-pub(crate) fn total_units(config: &CrashckConfig) -> u64 {
-    (TREE_UPDATES.len() * POLICIES.len() * RECOVERIES.len() * config.scripts_per_cell.max(1)) as u64
-}
-
-/// Sweeps the units whose indices appear in `unit_ids`, returning each
-/// verdict tagged with its unit index (sorted by index). A unit's
-/// verdict depends only on `(config, unit index)`, so any partition over
-/// threads or fleet workers yields identical verdicts.
-pub(crate) fn run_crashck_units(
-    config: &CrashckConfig,
-    unit_ids: &[u64],
-) -> Vec<(u64, UnitResult)> {
-    let all = unit_list(config);
-    let picked: Vec<(u64, UnitSpec)> = unit_ids
-        .iter()
-        .filter_map(|&i| all.get(i as usize).map(|u| (i, u.clone())))
-        .collect();
-    let mut results = parallel_map(picked, config.threads.max(1), |(i, unit)| {
-        let (update, tree_name, policy, recovery, mode, seed) = unit;
-        (
-            i,
-            run_unit(update, tree_name, &policy, recovery, mode, seed, config),
-        )
+/// Sweeps the units whose indices appear in `unit_ids` (each below the
+/// job's total), returning each verdict tagged with its unit index
+/// (sorted by index). A unit's verdict depends only on `(config, unit
+/// index)`, so any partition over threads or fleet workers yields
+/// identical verdicts.
+fn run_crashck_units(config: &CrashckConfig, unit_ids: &[u64]) -> Vec<(u64, UnitResult)> {
+    let mut results = parallel_map(unit_ids.to_vec(), config.threads.max(1), |i| {
+        (i, run_indexed_unit(config, i))
     });
     results.sort_by_key(|&(i, _)| i);
     results
@@ -432,7 +360,7 @@ pub(crate) fn run_crashck_units(
 /// Folds unit verdicts (in unit order) into the final artifacts — the
 /// single reduction behind both the local runner and the fleet
 /// coordinator's merge, so their bytes cannot diverge.
-pub(crate) fn merge_crashck_units(
+fn merge_crashck_units(
     config: &CrashckConfig,
     mut tagged: Vec<(u64, UnitResult)>,
 ) -> CrashckOutput {
@@ -538,9 +466,111 @@ pub(crate) fn merge_crashck_units(
 
 /// Runs the full crash-consistency campaign described by `config`.
 pub fn run_crashck(config: &CrashckConfig) -> CrashckOutput {
-    let all: Vec<u64> = (0..total_units(config)).collect();
+    let all: Vec<u64> = (0..config.total_blocks()).collect();
     let tagged = run_crashck_units(config, &all);
     merge_crashck_units(config, tagged)
+}
+
+/// The crashck kind: [`run_crashck`] for the whole job, and one matrix
+/// unit (cell × script) per distribution block for its shards.
+impl Job for CrashckConfig {
+    fn run(&self) -> (String, String) {
+        let output = run_crashck(self);
+        (output.result_json, output.ndjson)
+    }
+
+    fn total_blocks(&self) -> u64 {
+        let cells = TREE_UPDATES.len() * POLICIES.len() * RECOVERIES.len();
+        (cells * self.scripts_per_cell.max(1)) as u64
+    }
+
+    fn run_blocks(&self, ids: &[u64]) -> Vec<Json> {
+        let units = run_crashck_units(self, ids);
+        units.iter().map(|(i, r)| unit_wire(*i, r)).collect()
+    }
+
+    fn merge_blocks(&self, blocks: &[&Json]) -> Result<(String, String), String> {
+        let units = blocks
+            .iter()
+            .map(|obj| unit_unwire(obj))
+            .collect::<Result<Vec<_>, _>>()?;
+        let units = dedup_covered(units, |u| u.0, self.total_blocks())?;
+        let output = merge_crashck_units(self, units);
+        Ok((output.result_json, output.ndjson))
+    }
+}
+
+/// The wire form of unit `index`'s verdict.
+fn unit_wire(index: u64, r: &UnitResult) -> Json {
+    let mut obj = vec![
+        ("block".into(), u64_wire(index)),
+        ("cell".into(), Json::Str(r.cell.clone())),
+        ("tree".into(), Json::Str(r.tree.into())),
+        ("policy".into(), Json::Str(r.policy.into())),
+        ("recovery".into(), Json::Str(r.recovery.into())),
+        ("seed".into(), u64_wire(r.seed)),
+        ("script".into(), Json::Str(r.script.clone())),
+        ("txns".into(), u64_wire(r.txns as u64)),
+        ("points".into(), u64_wire(r.points)),
+        ("committed".into(), u64_wire(r.committed_total as u64)),
+    ];
+    if let Some(d) = &r.divergence {
+        obj.push((
+            "divergence".into(),
+            Json::Obj(vec![
+                ("point".into(), u64_wire(d.point)),
+                ("reason".into(), Json::Str(d.reason.clone())),
+                ("trace_tail".into(), Json::Str(d.trace_tail.clone())),
+            ]),
+        ));
+    }
+    Json::Obj(obj)
+}
+
+/// Parses a unit verdict off the wire, re-interning its names into the
+/// fixed matrix vocabulary (`&'static str` labels plus the oracle mode
+/// implied by the recovery path).
+fn unit_unwire(obj: &Json) -> Result<(u64, UnitResult), String> {
+    let tree = str_unwire(obj.get("tree"), "tree")?;
+    let policy = str_unwire(obj.get("policy"), "policy")?;
+    let recovery = str_unwire(obj.get("recovery"), "recovery")?;
+    let (_, tree) = TREE_UPDATES
+        .into_iter()
+        .find(|(_, n)| *n == tree)
+        .ok_or_else(|| format!("unknown tree name '{tree}'"))?;
+    let policy = POLICIES
+        .iter()
+        .map(CloningPolicy::name)
+        .find(|n| *n == policy)
+        .ok_or_else(|| format!("unknown policy name '{policy}'"))?;
+    let (recovery, mode) = RECOVERIES
+        .into_iter()
+        .find(|(n, _)| *n == recovery)
+        .ok_or_else(|| format!("unknown recovery name '{recovery}'"))?;
+    let divergence = match obj.get("divergence") {
+        None => None,
+        Some(d) => Some(Divergence {
+            point: u64_unwire(d.get("point"), "divergence.point")?,
+            reason: str_unwire(d.get("reason"), "divergence.reason")?.to_string(),
+            trace_tail: str_unwire(d.get("trace_tail"), "divergence.trace_tail")?.to_string(),
+        }),
+    };
+    Ok((
+        u64_unwire(obj.get("block"), "block")?,
+        UnitResult {
+            cell: str_unwire(obj.get("cell"), "cell")?.to_string(),
+            tree,
+            policy,
+            recovery,
+            mode,
+            seed: u64_unwire(obj.get("seed"), "seed")?,
+            script: str_unwire(obj.get("script"), "script")?.to_string(),
+            txns: u64_unwire(obj.get("txns"), "txns")? as usize,
+            points: u64_unwire(obj.get("points"), "points")?,
+            committed_total: u64_unwire(obj.get("committed"), "committed")? as usize,
+            divergence,
+        },
+    ))
 }
 
 /// Builds a [`CrashckConfig`] from a JSON request body — the single

@@ -1,20 +1,29 @@
-//! Job-sized campaign entry point shared by the CLI and the campaign
-//! service (`soteria-svc`).
+//! Job kinds, and the entry point the CLI and the campaign service
+//! (`soteria-svc`) share.
 //!
 //! Both front-ends must produce **byte-identical artifacts** for the same
 //! seed — `soteria campaign --json/--trace` writes the same bytes that
 //! `POST /v1/campaigns` + `GET /v1/jobs/{id}/result` / `…/trace` return.
 //! That contract holds because every path funnels through this module:
-//! one config parser ([`config_from_json`]), one policy roster
-//! ([`STANDARD_POLICIES`]), one report serializer ([`report_json`]), and
-//! one runner ([`run_job`]).
+//! one config parser per kind ([`config_from_json`] for the campaign),
+//! one policy roster ([`STANDARD_POLICIES`]), one report serializer
+//! ([`report_json`]), and one runner ([`run_spec`]).
+//!
+//! [`KINDS`] is the one place a job kind is defined: its wire name, its
+//! submit route, its config parser, and the `Job` its specs run as
+//! (block count, block-range runner and merge, implemented beside the
+//! kind's config). The service, the fleet coordinator, the shard
+//! envelope ([`crate::shard`]) and the CLI find every kind through it.
 
 use soteria::analysis::TreeKind;
 use soteria::clone::CloningPolicy;
 use soteria_rt::json::Json;
 use soteria_rt::obs::TraceBuffer;
 
-use crate::campaign::{run_campaign_traced, CampaignConfig, PolicyResult};
+use crate::campaign::{
+    merge_campaign_blocks, run_campaign_blocks, run_campaign_traced, Block, CampaignConfig,
+    PolicyResult, ITERATION_BLOCK,
+};
 
 /// The three schemes every campaign artifact reports, in table order.
 pub const STANDARD_POLICIES: [CloningPolicy; 3] = [
@@ -60,7 +69,7 @@ pub fn parse_tree(name: &str) -> Result<TreeKind, String> {
 /// * `ecc` — `secded` | `chipkill` | `double`
 /// * `tree` — `toc` | `bmt`
 /// * `scrub_hours` — patrol-scrub interval (off when absent)
-/// * `seed` — RNG seed, as a number or a `"0x…"` hex string
+/// * `seed` — RNG seed, as a number below 2^53 or a `"0x…"` hex string
 /// * `threads` — worker threads, at most 256 (results are identical for
 ///   any value)
 /// * `capacity_bytes` — protected capacity (default 16 GiB)
@@ -166,9 +175,15 @@ pub(crate) mod field {
         Ok(n)
     }
 
-    /// The `seed` field: a non-negative integer or a `"0x…"` hex string.
+    /// The `seed` field: a non-negative integer below 2^53 (the largest
+    /// a JSON number holds exactly) or a `"0x…"` hex string.
     pub(crate) fn seed(v: &Json) -> Result<u64, String> {
         match v {
+            Json::Num(n) if *n >= (1u64 << 53) as f64 => Err(
+                "field 'seed' must be below 2^53 as a number; send a larger seed as a \
+                 \"0x…\" hex string"
+                    .into(),
+            ),
             Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Ok(*n as u64),
             Json::Str(s) => {
                 let hex = s.strip_prefix("0x").unwrap_or(s);
@@ -287,10 +302,10 @@ pub fn run_job(config: &CampaignConfig) -> JobOutput {
 
 /// A validated job request: the classic cloning-policy campaign
 /// (`POST /v1/campaigns`), the cross-scheme compare matrix
-/// (`POST /v1/compare`), the crash-consistency sweep
-/// (`POST /v1/crashck`), or a block-range shard of any of them
-/// (`POST /v1/blocks`, submitted by a fleet coordinator). One enum so
-/// the service worker and the CLI share a single runner.
+/// (`POST /v1/compare`) or the crash-consistency sweep
+/// (`POST /v1/crashck`). One enum so the service worker and the CLI
+/// share a single runner; a block-range shard (`POST /v1/blocks`) is a
+/// spec plus its range (see [`crate::shard::blocks_spec_from_json`]).
 #[derive(Clone, Debug)]
 pub enum JobSpec {
     /// A [`STANDARD_POLICIES`] campaign (`soteria-campaign/v1`).
@@ -299,39 +314,74 @@ pub enum JobSpec {
     Compare(crate::compare::CompareConfig),
     /// A crash-consistency matrix sweep (`soteria-crashck/v1`).
     Crashck(crate::crashck::CrashckConfig),
-    /// Blocks `lo..hi` of an inner job, producing a partial-sums
-    /// document (`soteria-blocks/v2`) instead of final artifacts.
-    Blocks {
-        /// The job being sharded (never itself `Blocks`).
-        spec: Box<JobSpec>,
-        /// First block index (inclusive).
-        lo: u64,
-        /// Last block index (exclusive).
-        hi: u64,
-    },
 }
 
-/// Turns one kind's config body into its spec.
-type KindParser = fn(&Json) -> Result<JobSpec, String>;
+/// What a job kind's config does: [`run_spec`] and the shard envelope
+/// ([`crate::shard`]) drive every kind through this interface.
+pub(crate) trait Job {
+    /// The whole job's `(result_json, ndjson)` artifacts.
+    fn run(&self) -> (String, String);
+    /// How many distribution blocks the job comprises.
+    fn total_blocks(&self) -> u64;
+    /// The wire form of blocks `ids` (each below
+    /// [`Job::total_blocks`]), in id order.
+    fn run_blocks(&self, ids: &[u64]) -> Vec<Json>;
+    /// Folds wire-form blocks (any order, duplicates allowed) into the
+    /// artifacts [`Job::run`] returns, or says which block is malformed
+    /// or missing.
+    fn merge_blocks(&self, blocks: &[&Json]) -> Result<(String, String), String>;
+}
 
-/// The job kinds a coordinator shards and a worker runs, each with its
-/// wire name and the parser of its config body: the one place a kind
-/// name becomes a spec ([`JobSpec::kind`] maps back).
-const KINDS: [(&str, KindParser); 3] = [
-    ("campaign", |body| {
-        config_from_json(body).map(JobSpec::Campaign)
-    }),
-    ("compare", |body| {
-        crate::compare::compare_config_from_json(body).map(JobSpec::Compare)
-    }),
-    ("crashck", |body| {
-        crate::crashck::crashck_config_from_json(body).map(JobSpec::Crashck)
-    }),
+/// One job kind. A kind is its module's `Job` impl (block count,
+/// block-range runner, merge) plus one row of [`KINDS`].
+pub struct Kind {
+    /// The wire name: `coordinate --kind`, and the `kind` field of shard
+    /// bodies and partials.
+    pub name: &'static str,
+    /// The service's submit route.
+    pub route: &'static str,
+    /// Builds the kind's spec from its config body, or returns the
+    /// kind's one-line, field-naming config error.
+    pub parse: fn(&Json) -> Result<JobSpec, String>,
+    /// The spec's config as its [`Job`], when the spec is of this kind.
+    job: fn(&JobSpec) -> Option<&dyn Job>,
+}
+
+/// Every job kind the service serves, a coordinator shards and a worker
+/// runs.
+pub static KINDS: [Kind; 3] = [
+    Kind {
+        name: "campaign",
+        route: "/v1/campaigns",
+        parse: |body| config_from_json(body).map(JobSpec::Campaign),
+        job: |spec| match spec {
+            JobSpec::Campaign(config) => Some(config),
+            _ => None,
+        },
+    },
+    Kind {
+        name: "compare",
+        route: "/v1/compare",
+        parse: |body| crate::compare::compare_config_from_json(body).map(JobSpec::Compare),
+        job: |spec| match spec {
+            JobSpec::Compare(config) => Some(config),
+            _ => None,
+        },
+    },
+    Kind {
+        name: "crashck",
+        route: "/v1/crashck",
+        parse: |body| crate::crashck::crashck_config_from_json(body).map(JobSpec::Crashck),
+        job: |spec| match spec {
+            JobSpec::Crashck(config) => Some(config),
+            _ => None,
+        },
+    },
 ];
 
 /// The kind names, comma-separated, for error messages.
 pub(crate) fn kind_names() -> String {
-    KINDS.map(|(name, _)| name).join(", ")
+    KINDS.iter().map(|k| k.name).collect::<Vec<_>>().join(", ")
 }
 
 impl JobSpec {
@@ -343,59 +393,65 @@ impl JobSpec {
     /// `unknown kind '…' (campaign, compare, crashck)`, or the kind's
     /// one-line config error.
     pub fn from_kind(kind: &str, config: &Json) -> Result<JobSpec, String> {
-        let (_, parse) = KINDS
+        let row = KINDS
             .iter()
-            .find(|(name, _)| *name == kind)
+            .find(|k| k.name == kind)
             .ok_or_else(|| format!("unknown kind '{kind}' ({})", kind_names()))?;
-        parse(config)
+        (row.parse)(config)
     }
 
-    /// The kind name [`JobSpec::from_kind`] takes for this job; a
-    /// `Blocks` shard reports the kind of the job it shards.
+    /// The spec's kind row and its config as a [`Job`].
+    fn row(&self) -> (&'static Kind, &dyn Job) {
+        KINDS
+            .iter()
+            .find_map(|kind| Some((kind, (kind.job)(self)?)))
+            .expect("every JobSpec variant has a KINDS row")
+    }
+
+    /// The kind name [`JobSpec::from_kind`] takes for this job.
     pub fn kind(&self) -> &'static str {
-        match self {
-            JobSpec::Campaign(_) => "campaign",
-            JobSpec::Compare(_) => "compare",
-            JobSpec::Crashck(_) => "crashck",
-            JobSpec::Blocks { spec, .. } => spec.kind(),
-        }
+        self.row().0.name
     }
 
-    /// Worker threads the job will use.
-    pub fn threads(&self) -> usize {
-        match self {
-            JobSpec::Campaign(c) => c.threads,
-            JobSpec::Compare(c) => c.threads,
-            JobSpec::Crashck(c) => c.threads,
-            JobSpec::Blocks { spec, .. } => spec.threads(),
-        }
+    /// The job this spec runs.
+    pub(crate) fn job(&self) -> &dyn Job {
+        self.row().1
+    }
+}
+
+/// The campaign kind: [`run_job`] for the whole job, and the Monte Carlo
+/// block form over [`STANDARD_POLICIES`] for its shards.
+impl Job for CampaignConfig {
+    fn run(&self) -> (String, String) {
+        let output = run_job(self);
+        (output.result_json, output.trace_ndjson)
+    }
+
+    fn total_blocks(&self) -> u64 {
+        self.iterations.div_ceil(ITERATION_BLOCK)
+    }
+
+    fn run_blocks(&self, ids: &[u64]) -> Vec<Json> {
+        let blocks = run_campaign_blocks(self, &STANDARD_POLICIES, ids);
+        blocks.iter().map(Block::to_wire).collect()
+    }
+
+    fn merge_blocks(&self, blocks: &[&Json]) -> Result<(String, String), String> {
+        let rows = STANDARD_POLICIES.len();
+        let blocks = Block::unwire_all(blocks, "campaign", rows, self.iterations)?;
+        let (results, trace) = merge_campaign_blocks(self, &STANDARD_POLICIES, blocks);
+        Ok((
+            report_json(self, &results, &trace).to_pretty_string(),
+            trace.export_ndjson(),
+        ))
     }
 }
 
 /// Runs any [`JobSpec`] and returns `(result_json, ndjson)` — the two
 /// artifact byte-streams every job kind produces. Thread-invariant for
-/// all kinds. A `Blocks` job returns its partial-sums document as the
-/// result and an empty trace (partials carry their per-iteration records
-/// inline).
+/// all kinds.
 pub fn run_spec(spec: &JobSpec) -> (String, String) {
-    match spec {
-        JobSpec::Campaign(config) => {
-            let output = run_job(config);
-            (output.result_json, output.trace_ndjson)
-        }
-        JobSpec::Compare(config) => {
-            let output = crate::compare::run_compare(config);
-            (output.result_json, output.ndjson)
-        }
-        JobSpec::Crashck(config) => {
-            let output = crate::crashck::run_crashck(config);
-            (output.result_json, output.ndjson)
-        }
-        JobSpec::Blocks { spec, lo, hi } => (
-            crate::shard::run_block_range(spec, *lo, *hi).to_pretty_string(),
-            String::new(),
-        ),
-    }
+    spec.job().run()
 }
 
 #[cfg(test)]
@@ -441,6 +497,42 @@ mod tests {
     }
 
     #[test]
+    fn seeds_past_2_pow_53_must_travel_as_hex() {
+        // 2^53 − 1 is the largest integer every JSON number holds
+        // exactly; from 2^53 on a numeric seed may already be rounded.
+        let exact = parse(r#"{"seed": 9007199254740991}"#).unwrap();
+        assert_eq!(exact.seed, (1 << 53) - 1);
+        let want = "field 'seed' must be below 2^53 as a number; send a larger seed as a \
+                    \"0x…\" hex string";
+        for kind in ["campaign", "compare", "crashck"] {
+            for body in [
+                r#"{"seed": 9007199254740992}"#,
+                r#"{"seed": 1.3117684674637903e19}"#,
+            ] {
+                let err = JobSpec::from_kind(kind, &Json::parse(body).unwrap()).unwrap_err();
+                assert_eq!(err, want, "{kind}: {body}");
+            }
+        }
+        let hex = parse(r#"{"seed": "0x1234567890abcdef"}"#).unwrap();
+        assert_eq!(hex.seed, 0x1234_5678_90ab_cdef);
+    }
+
+    #[test]
+    fn every_kind_row_maps_its_specs_back_to_itself() {
+        let empty = Json::Obj(Vec::new());
+        for kind in &KINDS {
+            let spec = (kind.parse)(&empty).unwrap();
+            assert_eq!(spec.kind(), kind.name);
+            let again = JobSpec::from_kind(kind.name, &empty).unwrap();
+            assert_eq!(again.kind(), kind.name);
+            assert!(kind.route.starts_with("/v1/"), "{}", kind.route);
+        }
+        assert_eq!(kind_names(), "campaign, compare, crashck");
+        let err = JobSpec::from_kind("nope", &empty).unwrap_err();
+        assert_eq!(err, "unknown kind 'nope' (campaign, compare, crashck)");
+    }
+
+    #[test]
     fn bad_fields_name_the_field() {
         for (body, needle) in [
             (r#"[1]"#, "must be a JSON object"),
@@ -470,8 +562,7 @@ mod tests {
         let want = "field 'threads' must be at most 256";
         for kind in ["campaign", "compare", "crashck"] {
             assert_eq!(JobSpec::from_kind(kind, &huge).unwrap_err(), want, "{kind}");
-            let spec = JobSpec::from_kind(kind, &most).unwrap();
-            assert_eq!(spec.threads(), 256, "{kind}");
+            assert!(JobSpec::from_kind(kind, &most).is_ok(), "{kind}");
             let shard = Json::Obj(vec![
                 ("kind".into(), Json::Str(kind.into())),
                 ("lo".into(), Json::Num(0.0)),
@@ -486,6 +577,11 @@ mod tests {
         assert_eq!(compare.unwrap_err(), want);
         let crashck = crate::crashck::crashck_config_from_json(&huge);
         assert_eq!(crashck.unwrap_err(), want);
+        assert_eq!(config_from_json(&most).unwrap().threads, 256);
+        let compare = crate::compare::compare_config_from_json(&most);
+        assert_eq!(compare.unwrap().threads, 256);
+        let crashck = crate::crashck::crashck_config_from_json(&most);
+        assert_eq!(crashck.unwrap().threads, 256);
     }
 
     #[test]

@@ -1,91 +1,62 @@
-//! Block-sharded job execution for the campaign fleet.
+//! Block-sharded job execution for the campaign fleet: the
+//! kind-independent envelope around each kind's blocks.
 //!
-//! Every campaign-shaped job in this crate already folds fixed
-//! accumulation blocks in block order, so its artifacts are
-//! byte-identical at any thread count. This module extends that
-//! contract across *machines*: a coordinator splits a job's block range
-//! over workers, each worker computes its blocks' partial sums with
-//! [`run_block_range`], and [`merge_partials`] folds the partials back
-//! through the **same** reduction the single-node runner uses — so the
-//! merged artifact is byte-identical to `soteria campaign --json` (or
+//! Every job kind folds fixed distribution blocks in block order, so its
+//! artifacts are byte-identical at any thread count. This module extends
+//! that contract across *machines*: a coordinator splits a job's block
+//! range over workers, each worker computes its blocks with
+//! [`run_block_range`], and [`merge_partials`] folds them back through
+//! the **same** reduction the single-node runner uses — so the merged
+//! artifact is byte-identical to `soteria campaign --json` (or
 //! `compare`, or `crashck`) at the same seed, regardless of shard count
 //! or worker failures.
 //!
-//! Campaign and compare share one Monte Carlo engine and so one block
-//! wire form: a block's partial sums plus one record per faulted
-//! iteration (its index, fault count, UE flag and per-scheme UDR). Each
-//! kind renders its own NDJSON from the records at merge, so no trace
-//! event crosses the wire. Two wire rules keep the contract exact:
+//! A partial (`soteria-blocks/v2`) is this envelope — schema, kind, block
+//! range — around the blocks in the kind's own wire form, which each kind
+//! writes and reads beside its config through the kind's `Job` (e.g. the
+//! Monte Carlo block of campaign and compare in [`crate::campaign`], the
+//! crashck unit in [`crate::crashck`]). Two wire rules keep
+//! the contract exact, and every kind's form follows them:
 //!
 //! * **`f64` travels as bits.** Partial sums and UDRs are serialized as
 //!   the hex of [`f64::to_bits`], never as decimal text, so no
 //!   parse/print round-trip can perturb the non-associative block fold.
-//! * **Shapes are checked.** A block's per-scheme arrays and every
-//!   record's UDR list must match the kind's roster, and a record's
-//!   iteration must lie in its block, in increasing order: a malformed
-//!   partial is a merge error, never an index past the end.
+//! * **Shapes are checked.** A malformed block, or one of the wrong
+//!   shape for its kind, is a merge error, never an index past the end;
+//!   so is a block range that is not covered exactly.
 
-use soteria::policy::standard_schemes;
+use std::ops::Range;
+
 use soteria_rt::json::Json;
 
-use crate::campaign::{
-    block_iterations, merge_campaign_blocks, run_campaign_blocks, Accumulator, Block, IterRecord,
-    ITERATION_BLOCK,
-};
-use crate::compare::{merge_compare_blocks, run_compare_blocks};
-use crate::crashck::{
-    intern_unit_names, merge_crashck_units, run_crashck_units, total_units, UnitResult,
-};
-use crate::job::{kind_names, report_json, JobSpec, STANDARD_POLICIES};
+use crate::job::{kind_names, JobSpec};
 
 /// The partial-artifact schema version.
 pub const BLOCKS_SCHEMA: &str = "soteria-blocks/v2";
 
-/// How many distribution blocks `spec` comprises (the coordinator
-/// shards the range `0..total_blocks` over its workers).
-///
-/// Campaign and compare jobs shard on [`ITERATION_BLOCK`]-sized
-/// accumulation blocks; crashck jobs shard on matrix units. A `Blocks`
-/// spec delegates to its inner job.
+/// How many distribution blocks `spec` comprises, in its kind's own
+/// grain (the coordinator shards the range `0..total_blocks` over its
+/// workers).
 pub fn total_blocks(spec: &JobSpec) -> u64 {
-    match spec {
-        JobSpec::Campaign(c) => c.iterations.div_ceil(ITERATION_BLOCK),
-        JobSpec::Compare(c) => c.iterations.div_ceil(ITERATION_BLOCK),
-        JobSpec::Crashck(c) => total_units(c),
-        JobSpec::Blocks { spec, .. } => total_blocks(spec),
-    }
+    spec.job().total_blocks()
 }
 
-/// Computes the partial sums of blocks `lo..hi` of `spec` and
-/// serializes them as a `soteria-blocks/v2` document. The partial bytes
-/// depend only on `(spec, lo, hi)` — never on which worker ran them.
+/// Computes blocks `lo..hi` of `spec` and serializes them as a
+/// `soteria-blocks/v2` document. The partial bytes depend only on
+/// `(spec, lo, hi)` — never on which worker ran them.
 ///
 /// An out-of-range or empty range yields a document with an empty
 /// `blocks` array (the merge will then report the missing coverage).
 pub fn run_block_range(spec: &JobSpec, lo: u64, hi: u64) -> Json {
-    let hi = hi.min(total_blocks(spec));
+    let job = spec.job();
+    let hi = hi.min(job.total_blocks());
     let ids: Vec<u64> = (lo..hi).collect();
-    let blocks = match spec {
-        JobSpec::Campaign(config) => run_campaign_blocks(config, &STANDARD_POLICIES, &ids)
-            .iter()
-            .map(block_wire)
-            .collect(),
-        JobSpec::Compare(config) => run_compare_blocks(config, &ids)
-            .iter()
-            .map(block_wire)
-            .collect(),
-        JobSpec::Crashck(config) => run_crashck_units(config, &ids)
-            .into_iter()
-            .map(|(i, r)| crashck_unit_wire(i, &r))
-            .collect(),
-        JobSpec::Blocks { spec, .. } => return run_block_range(spec, lo, hi),
-    };
     Json::Obj(vec![
         ("schema".into(), Json::Str(BLOCKS_SCHEMA.into())),
         ("kind".into(), Json::Str(spec.kind().into())),
         ("lo".into(), u64_wire(lo)),
         ("hi".into(), u64_wire(hi)),
-        ("blocks".into(), Json::Arr(blocks)),
+        ("blocks".into(), Json::Arr(job.run_blocks(&ids))),
     ])
 }
 
@@ -103,9 +74,6 @@ pub fn run_block_range(spec: &JobSpec, lo: u64, hi: u64) -> Json {
 /// Returns a one-line message on a malformed partial, a kind mismatch,
 /// or incomplete block coverage.
 pub fn merge_partials(spec: &JobSpec, partials: &[Json]) -> Result<(String, String), String> {
-    if let JobSpec::Blocks { spec, .. } = spec {
-        return merge_partials(spec, partials);
-    }
     let kind = spec.kind();
     let mut raw: Vec<&Json> = Vec::new();
     for doc in partials {
@@ -123,41 +91,14 @@ pub fn merge_partials(spec: &JobSpec, partials: &[Json]) -> Result<(String, Stri
             .ok_or("partial is missing its 'blocks' array")?;
         raw.extend(blocks.iter());
     }
-
-    let total = total_blocks(spec);
-    match spec {
-        JobSpec::Campaign(config) => {
-            let roster = STANDARD_POLICIES.len();
-            let blocks = unwire_blocks(&raw, kind, roster, config.iterations, total)?;
-            let (results, trace) = merge_campaign_blocks(config, &STANDARD_POLICIES, blocks);
-            Ok((
-                report_json(config, &results, &trace).to_pretty_string(),
-                trace.export_ndjson(),
-            ))
-        }
-        JobSpec::Compare(config) => {
-            let roster = standard_schemes().len();
-            let blocks = unwire_blocks(&raw, kind, roster, config.iterations, total)?;
-            let output = merge_compare_blocks(config, blocks);
-            Ok((output.result_json, output.ndjson))
-        }
-        JobSpec::Crashck(config) => {
-            let mut units = Vec::with_capacity(raw.len());
-            for obj in raw {
-                units.push(crashck_unit_unwire(obj)?);
-            }
-            let units = dedup_covered(units, |u: &(u64, UnitResult)| u.0, total)?;
-            let output = merge_crashck_units(config, units);
-            Ok((output.result_json, output.ndjson))
-        }
-        JobSpec::Blocks { .. } => unreachable!("delegated above"),
-    }
+    spec.job().merge_blocks(&raw)
 }
 
 /// Sorts tagged blocks, drops duplicate indices (first copy wins —
 /// duplicates are bit-identical by the partial contract), and verifies
-/// the surviving indices are exactly `0..total`.
-fn dedup_covered<T>(
+/// the surviving indices are exactly `0..total`. Each kind's merge calls
+/// this once it has parsed its blocks.
+pub(crate) fn dedup_covered<T>(
     mut blocks: Vec<T>,
     index: impl Fn(&T) -> u64,
     total: u64,
@@ -182,11 +123,11 @@ fn dedup_covered<T>(
 // Scalar wire forms: u64 as hex text, f64 as the hex of its bits.
 // ---------------------------------------------------------------------
 
-fn u64_wire(v: u64) -> Json {
+pub(crate) fn u64_wire(v: u64) -> Json {
     Json::Str(format!("{v:#x}"))
 }
 
-fn u64_unwire(v: Option<&Json>, what: &str) -> Result<u64, String> {
+pub(crate) fn u64_unwire(v: Option<&Json>, what: &str) -> Result<u64, String> {
     let s = v
         .and_then(Json::as_str)
         .ok_or_else(|| format!("partial field '{what}' must be a hex string"))?;
@@ -198,189 +139,33 @@ fn u64_unwire(v: Option<&Json>, what: &str) -> Result<u64, String> {
 /// the block fold is a fixed-order sum of exactly these values, so a
 /// decimal round-trip (even a "shortest round-trip" printer) must never
 /// sit between a worker and the merge.
-fn f64_wire(v: f64) -> Json {
+pub(crate) fn f64_wire(v: f64) -> Json {
     Json::Str(format!("{:016x}", v.to_bits()))
 }
 
-fn f64_unwire(v: Option<&Json>, what: &str) -> Result<f64, String> {
+pub(crate) fn f64_unwire(v: Option<&Json>, what: &str) -> Result<f64, String> {
     Ok(f64::from_bits(u64_unwire(v, what)?))
 }
 
-fn usize_unwire(v: Option<&Json>, what: &str) -> Result<usize, String> {
-    Ok(u64_unwire(v, what)? as usize)
-}
-
-fn str_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a str, String> {
+pub(crate) fn str_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a str, String> {
     v.and_then(Json::as_str)
         .ok_or_else(|| format!("partial field '{what}' must be a string"))
 }
 
-fn arr_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a [Json], String> {
+pub(crate) fn arr_unwire<'a>(v: Option<&'a Json>, what: &str) -> Result<&'a [Json], String> {
     v.and_then(Json::as_array)
         .ok_or_else(|| format!("partial field '{what}' must be an array"))
 }
 
-// ---------------------------------------------------------------------
-// The Monte Carlo block wire form, shared by campaign and compare.
-// ---------------------------------------------------------------------
-
-fn block_wire(b: &Block) -> Json {
-    let f64s = |vs: &[f64]| Json::Arr(vs.iter().map(|&v| f64_wire(v)).collect());
-    let acc = &b.acc;
-    let records = acc.records.iter().map(|r| {
-        Json::Obj(vec![
-            ("iter".into(), u64_wire(r.iter)),
-            ("faults".into(), u64_wire(r.faults)),
-            ("ue".into(), Json::Bool(r.ue)),
-            ("udr".into(), f64s(&r.udr)),
-        ])
-    });
-    Json::Obj(vec![
-        ("block".into(), u64_wire(b.block)),
-        ("faults".into(), u64_wire(acc.iterations_with_faults)),
-        ("ue".into(), u64_wire(acc.iterations_with_ue)),
-        ("err".into(), f64_wire(acc.error_ratio_sum)),
-        ("udr_sum".into(), f64s(&acc.udr_sum)),
-        (
-            "udr_hits".into(),
-            Json::Arr(acc.udr_hits.iter().map(|&v| u64_wire(v)).collect()),
-        ),
-        ("records".into(), Json::Arr(records.collect())),
-    ])
-}
-
-/// Parses one block of a `kind` job whose roster has `schemes` rows and
-/// which runs `iterations` iterations.
-fn block_unwire(obj: &Json, kind: &str, schemes: usize, iterations: u64) -> Result<Block, String> {
-    let block = u64_unwire(obj.get("block"), "block")?;
-    let sums = arr_unwire(obj.get("udr_sum"), "udr_sum")?;
-    let hits = arr_unwire(obj.get("udr_hits"), "udr_hits")?;
-    if sums.len() != schemes || hits.len() != schemes {
-        return Err(format!("{kind} block must carry {schemes} per-scheme sums"));
-    }
-    let mut acc = Accumulator::new(schemes);
-    for (i, (sum, hit)) in sums.iter().zip(hits).enumerate() {
-        acc.udr_sum[i] = f64_unwire(Some(sum), "udr_sum")?;
-        acc.udr_hits[i] = u64_unwire(Some(hit), "udr_hits")?;
-    }
-    acc.iterations_with_faults = u64_unwire(obj.get("faults"), "faults")?;
-    acc.iterations_with_ue = u64_unwire(obj.get("ue"), "ue")?;
-    acc.error_ratio_sum = f64_unwire(obj.get("err"), "err")?;
-    let (lo, hi) = block_iterations(block, iterations);
-    let mut next = lo;
-    for r in arr_unwire(obj.get("records"), "records")? {
-        let iter = u64_unwire(r.get("iter"), "records.iter")?;
-        if !(next..hi).contains(&iter) {
-            return Err(format!(
-                "block {block} holds iteration {iter} out of order or outside the block"
-            ));
-        }
-        next = iter + 1;
-        let Some(&Json::Bool(ue)) = r.get("ue") else {
-            return Err("partial field 'records.ue' must be a boolean".into());
-        };
-        let udr = arr_unwire(r.get("udr"), "records.udr")?;
-        if udr.len() != schemes {
-            return Err(format!(
-                "{kind} iteration {iter} must carry {schemes} per-scheme UDRs"
-            ));
-        }
-        acc.records.push(IterRecord {
-            iter,
-            faults: u64_unwire(r.get("faults"), "records.faults")?,
-            ue,
-            udr: udr
-                .iter()
-                .map(|v| f64_unwire(Some(v), "records.udr"))
-                .collect::<Result<_, _>>()?,
-        });
-    }
-    Ok(Block { block, acc })
-}
-
-/// Parses every block of a `kind` job and checks that they cover
-/// `0..total` (see [`dedup_covered`]).
-fn unwire_blocks(
-    raw: &[&Json],
-    kind: &str,
-    schemes: usize,
-    iterations: u64,
-    total: u64,
-) -> Result<Vec<Block>, String> {
-    let blocks = raw
-        .iter()
-        .map(|obj| block_unwire(obj, kind, schemes, iterations))
-        .collect::<Result<Vec<_>, _>>()?;
-    dedup_covered(blocks, |b: &Block| b.block, total)
-}
-
-fn crashck_unit_wire(index: u64, r: &UnitResult) -> Json {
-    let mut obj = vec![
-        ("block".into(), u64_wire(index)),
-        ("cell".into(), Json::Str(r.cell.clone())),
-        ("tree".into(), Json::Str(r.tree.into())),
-        ("policy".into(), Json::Str(r.policy.into())),
-        ("recovery".into(), Json::Str(r.recovery.into())),
-        ("seed".into(), u64_wire(r.seed)),
-        ("script".into(), Json::Str(r.script.clone())),
-        ("txns".into(), u64_wire(r.txns as u64)),
-        ("points".into(), u64_wire(r.points)),
-        ("committed".into(), u64_wire(r.committed_total as u64)),
-    ];
-    if let Some(d) = &r.divergence {
-        obj.push((
-            "divergence".into(),
-            Json::Obj(vec![
-                ("point".into(), u64_wire(d.point)),
-                ("reason".into(), Json::Str(d.reason.clone())),
-                ("trace_tail".into(), Json::Str(d.trace_tail.clone())),
-            ]),
-        ));
-    }
-    Json::Obj(obj)
-}
-
-fn crashck_unit_unwire(obj: &Json) -> Result<(u64, UnitResult), String> {
-    let (tree, policy, recovery, mode) = intern_unit_names(
-        str_unwire(obj.get("tree"), "tree")?,
-        str_unwire(obj.get("policy"), "policy")?,
-        str_unwire(obj.get("recovery"), "recovery")?,
-    )?;
-    let divergence = match obj.get("divergence") {
-        None => None,
-        Some(d) => Some(soteria_rt::crashck::Divergence {
-            point: u64_unwire(d.get("point"), "divergence.point")?,
-            reason: str_unwire(d.get("reason"), "divergence.reason")?.to_string(),
-            trace_tail: str_unwire(d.get("trace_tail"), "divergence.trace_tail")?.to_string(),
-        }),
-    };
-    Ok((
-        u64_unwire(obj.get("block"), "block")?,
-        UnitResult {
-            cell: str_unwire(obj.get("cell"), "cell")?.to_string(),
-            tree,
-            policy,
-            recovery,
-            mode,
-            seed: u64_unwire(obj.get("seed"), "seed")?,
-            script: str_unwire(obj.get("script"), "script")?.to_string(),
-            txns: usize_unwire(obj.get("txns"), "txns")?,
-            points: u64_unwire(obj.get("points"), "points")?,
-            committed_total: usize_unwire(obj.get("committed"), "committed")?,
-            divergence,
-        },
-    ))
-}
-
-/// Parses a `POST /v1/blocks` request body into a [`JobSpec::Blocks`]:
-/// `{"kind": "campaign"|"compare"|"crashck", "lo": N, "hi": M,
-/// "config": {…}}`, where `config` takes the same fields as the kind's
-/// own submission endpoint. A nested `"blocks"` kind is rejected.
+/// Parses a `POST /v1/blocks` request body into the job it shards and
+/// the block range to compute: `{"kind": K, "lo": N, "hi": M, "config":
+/// {…}}`, where `K` names a row of [`crate::job::KINDS`] and `config`
+/// takes the same fields as that kind's own submission endpoint.
 ///
 /// # Errors
 ///
 /// Returns a one-line, field-naming message on any invalid input.
-pub fn blocks_spec_from_json(body: &Json) -> Result<JobSpec, String> {
+pub fn blocks_spec_from_json(body: &Json) -> Result<(JobSpec, Range<u64>), String> {
     let kind = body
         .get("kind")
         .and_then(Json::as_str)
@@ -401,27 +186,21 @@ pub fn blocks_spec_from_json(body: &Json) -> Result<JobSpec, String> {
         return Err("field 'hi' must be greater than 'lo'".into());
     }
     let default = Json::Obj(Vec::new());
-    let inner = JobSpec::from_kind(kind, body.get("config").unwrap_or(&default))?;
-    if hi > total_blocks(&inner) {
-        return Err(format!(
-            "field 'hi' exceeds the job's {} blocks",
-            total_blocks(&inner)
-        ));
+    let spec = JobSpec::from_kind(kind, body.get("config").unwrap_or(&default))?;
+    let total = total_blocks(&spec);
+    if hi > total {
+        return Err(format!("field 'hi' exceeds the job's {total} blocks"));
     }
-    Ok(JobSpec::Blocks {
-        spec: Box::new(inner),
-        lo,
-        hi,
-    })
+    Ok((spec, lo..hi))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::CampaignConfig;
+    use crate::campaign::{Accumulator, Block, CampaignConfig, IterRecord};
     use crate::compare::CompareConfig;
     use crate::crashck::CrashckConfig;
-    use crate::job::run_spec;
+    use crate::job::{run_spec, STANDARD_POLICIES};
 
     fn campaign_spec() -> JobSpec {
         let mut config = CampaignConfig::table4(1500.0);
@@ -508,7 +287,7 @@ mod tests {
             ("kind".into(), Json::Str(kind.into())),
             (
                 "blocks".into(),
-                Json::Arr(blocks.iter().map(block_wire).collect()),
+                Json::Arr(blocks.iter().map(Block::to_wire).collect()),
             ),
         ])
     }
@@ -589,13 +368,11 @@ mod tests {
     #[test]
     fn blocks_spec_parser_validates() {
         let parse = |s: &str| blocks_spec_from_json(&Json::parse(s).unwrap());
-        let spec = parse(r#"{"kind": "campaign", "lo": 0, "hi": 2, "config": {"iterations": 192}}"#)
-            .unwrap();
-        let JobSpec::Blocks { spec, lo, hi } = spec else {
-            panic!("expected a Blocks spec");
-        };
-        assert!(matches!(*spec, JobSpec::Campaign(_)));
-        assert_eq!((lo, hi), (0, 2));
+        let (spec, range) =
+            parse(r#"{"kind": "campaign", "lo": 0, "hi": 2, "config": {"iterations": 192}}"#)
+                .unwrap();
+        assert!(matches!(spec, JobSpec::Campaign(_)));
+        assert_eq!(range, 0..2);
         for (body, needle) in [
             (r#"{"lo": 0, "hi": 1}"#, "'kind'"),
             (r#"{"kind": "blocks", "lo": 0, "hi": 1}"#, "unknown kind"),

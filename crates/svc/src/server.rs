@@ -17,6 +17,10 @@
 //! | `/healthz` | GET | liveness probe |
 //! | `/metrics` | GET | Prometheus text exposition |
 //!
+//! The three submit routes are the rows of the job-kind table
+//! (`soteria_faultsim::job::KINDS`): a POST finds its kind, its config
+//! parser and its latency label (the route's last segment) there.
+//!
 //! # Backpressure and drain
 //!
 //! The queue holds at most `queue_capacity` jobs; a submit against a
@@ -29,12 +33,14 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::Duration;
 
-use soteria_faultsim::{blocks_spec_from_json, run_spec, JobSpec};
+use soteria_faultsim::job::{Kind, KINDS};
+use soteria_faultsim::{blocks_spec_from_json, run_block_range, run_spec, JobSpec};
 use soteria_rt::json::Json;
 use soteria_rt::obs::{Metrics, Timer};
 
@@ -97,6 +103,9 @@ impl JobState {
 
 struct Job {
     spec: JobSpec,
+    /// The block range of a `POST /v1/blocks` shard, whose result is the
+    /// range's partial document; `None` runs the whole job.
+    blocks: Option<Range<u64>>,
     state: JobState,
     /// `(result_json, ndjson)` — the artifact bytes [`run_spec`] emitted.
     output: Option<(String, String)>,
@@ -254,13 +263,14 @@ impl Plane for Server {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let (id, spec) = {
+        let (id, spec, blocks) = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if let Some(id) = st.queue.pop_front() {
-                    st.jobs[id].state = JobState::Running;
                     st.in_flight += 1;
-                    break (id, st.jobs[id].spec.clone());
+                    let job = &mut st.jobs[id];
+                    job.state = JobState::Running;
+                    break (id, job.spec.clone(), job.blocks.clone());
                 }
                 if st.draining {
                     return;
@@ -268,7 +278,15 @@ fn worker_loop(shared: &Shared) {
                 st = shared.job_ready.wait(st).unwrap();
             }
         };
-        let outcome = catch_unwind(AssertUnwindSafe(|| run_spec(&spec)));
+        // A shard's result is its partial document; partials carry their
+        // per-iteration records inline, so its trace is empty.
+        let outcome = catch_unwind(AssertUnwindSafe(|| match &blocks {
+            None => run_spec(&spec),
+            Some(r) => (
+                run_block_range(&spec, r.start, r.end).to_pretty_string(),
+                String::new(),
+            ),
+        }));
         let mut st = shared.state.lock().unwrap();
         st.in_flight -= 1;
         match outcome {
@@ -303,12 +321,8 @@ fn latency_metric(path: &str) -> &'static str {
         "latency_ns{endpoint=\"healthz\"}"
     } else if path == "/metrics" {
         "latency_ns{endpoint=\"metrics\"}"
-    } else if path == "/v1/campaigns" {
-        "latency_ns{endpoint=\"campaigns\"}"
-    } else if path == "/v1/compare" {
-        "latency_ns{endpoint=\"compare\"}"
-    } else if path == "/v1/crashck" {
-        "latency_ns{endpoint=\"crashck\"}"
+    } else if let Some(name) = kind_latency_metric(path) {
+        name
     } else if path == "/v1/blocks" {
         "latency_ns{endpoint=\"blocks\"}"
     } else if path.starts_with("/v1/jobs/") {
@@ -320,19 +334,32 @@ fn latency_metric(path: &str) -> &'static str {
     }
 }
 
+/// The latency metric of a kind's submit route: the route's last segment
+/// is the endpoint label (`/v1/campaigns` → `campaigns`). The names are
+/// built once from the kind table, so a new kind is labelled without an
+/// edit here.
+fn kind_latency_metric(path: &str) -> Option<&'static str> {
+    static NAMES: OnceLock<Vec<(&str, String)>> = OnceLock::new();
+    let names = NAMES.get_or_init(|| {
+        KINDS
+            .iter()
+            .map(|kind| {
+                let label = kind.route.rsplit('/').next().unwrap_or(kind.route);
+                (kind.route, format!("latency_ns{{endpoint=\"{label}\"}}"))
+            })
+            .collect()
+    });
+    let (_, name) = names.iter().find(|(route, _)| *route == path)?;
+    Some(name.as_str())
+}
+
 fn route(shared: &Shared, config: &ServerConfig, req: &Request) -> Result<Response, SvcError> {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Ok(Response::ok("text/plain; charset=utf-8", b"ok\n".to_vec())),
         (_, "/healthz") => Err(method_not_allowed(req, "GET")),
         ("GET", "/metrics") => Ok(metrics_response(shared)),
         (_, "/metrics") => Err(method_not_allowed(req, "GET")),
-        ("POST", "/v1/campaigns") => submit_job(shared, config, req),
-        (_, "/v1/campaigns") => Err(method_not_allowed(req, "POST")),
-        ("POST", "/v1/compare") => submit_job(shared, config, req),
-        (_, "/v1/compare") => Err(method_not_allowed(req, "POST")),
-        ("POST", "/v1/crashck") => submit_job(shared, config, req),
-        (_, "/v1/crashck") => Err(method_not_allowed(req, "POST")),
-        ("POST", "/v1/blocks") => submit_job(shared, config, req),
+        ("POST", "/v1/blocks") => submit_job(shared, config, req, None),
         (_, "/v1/blocks") => Err(method_not_allowed(req, "POST")),
         ("POST", "/v1/shutdown") => {
             shared.begin_drain();
@@ -345,33 +372,35 @@ fn route(shared: &Shared, config: &ServerConfig, req: &Request) -> Result<Respon
         (_, "/v1/shutdown") => Err(method_not_allowed(req, "POST")),
         ("GET", path) if path.starts_with("/v1/jobs/") => job_endpoint(shared, path),
         (_, path) if path.starts_with("/v1/jobs/") => Err(method_not_allowed(req, "GET")),
-        (_, path) => Err(SvcError::NotFound(format!("no route for '{path}'"))),
+        (method, path) => match KINDS.iter().find(|kind| kind.route == path) {
+            Some(kind) if method == "POST" => submit_job(shared, config, req, Some(kind)),
+            Some(_) => Err(method_not_allowed(req, "POST")),
+            None => Err(SvcError::NotFound(format!("no route for '{path}'"))),
+        },
     }
 }
 
+/// Queues the job a POST body describes: a whole job of `kind`, or, with
+/// no kind, a `/v1/blocks` shard of any kind.
 fn submit_job(
     shared: &Shared,
     config: &ServerConfig,
     req: &Request,
+    kind: Option<&Kind>,
 ) -> Result<Response, SvcError> {
-    let kind = match req.path.as_str() {
-        "/v1/compare" => "compare",
-        "/v1/crashck" => "crashck",
-        "/v1/blocks" => "blocks",
-        _ => "campaign",
-    };
+    let label = kind.map_or("blocks", |k| k.name);
     let text = std::str::from_utf8(&req.body)
-        .map_err(|_| SvcError::BadRequest(format!("{kind} config must be UTF-8 JSON")))?;
+        .map_err(|_| SvcError::BadRequest(format!("{label} config must be UTF-8 JSON")))?;
     if text.trim().is_empty() {
         return Err(SvcError::BadRequest(format!(
-            "missing body: POST a JSON {kind} config (e.g. '{{}}' for defaults)"
+            "missing body: POST a JSON {label} config (e.g. '{{}}' for defaults)"
         )));
     }
     let body = Json::parse(text)
         .map_err(|e| SvcError::BadRequest(format!("config is not valid JSON: {e}")))?;
-    let spec = match kind {
-        "blocks" => blocks_spec_from_json(&body),
-        _ => JobSpec::from_kind(kind, &body),
+    let (spec, blocks) = match kind {
+        Some(kind) => (kind.parse)(&body).map(|spec| (spec, None)),
+        None => blocks_spec_from_json(&body).map(|(spec, range)| (spec, Some(range))),
     }
     .map_err(SvcError::BadRequest)?;
     let mut st = shared.state.lock().unwrap();
@@ -386,6 +415,7 @@ fn submit_job(
     let id = st.jobs.len();
     st.jobs.push(Job {
         spec,
+        blocks,
         state: JobState::Queued,
         output: None,
         error: None,

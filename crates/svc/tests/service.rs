@@ -6,7 +6,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-use soteria_faultsim::{compare_config_from_json, config_from_json, run_compare, run_job};
+use soteria_faultsim::job::KINDS;
+use soteria_faultsim::{compare_config_from_json, config_from_json, run_compare, run_job, run_spec};
 use soteria_rt::json::Json;
 use soteria_svc::{client, submit_burst, JobState, Server, ServerConfig, ServerHandle};
 
@@ -385,6 +386,58 @@ fn metrics_expose_and_parse() {
         get("soteria_svc_latency_ns_count{endpoint=\"campaigns\"}")
     );
 
+    handle.shutdown();
+    join.join().expect("serve thread");
+}
+
+/// Every kind of the job-kind table is served on its table route: the
+/// result and NDJSON bytes of a job submitted there match `run_spec` on
+/// the same body, a `GET` on the route is a `405`, and the route's
+/// latency lands under its pinned `/metrics` endpoint label.
+#[test]
+fn every_kind_submits_on_its_table_route() {
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    for kind in &KINDS {
+        let (body, label) = match kind.name {
+            "campaign" => (
+                r#"{"fit": 1500, "iterations": 64, "capacity_bytes": 67108864,
+                    "seed": "0x5eed", "threads": 1}"#,
+                "campaigns",
+            ),
+            "compare" => (
+                r#"{"fit": 1500, "iterations": 64, "trace_ops": 128, "seed": "0x5eed"}"#,
+                "compare",
+            ),
+            "crashck" => (
+                r#"{"seed": "0x50f3", "scripts_per_cell": 1, "max_txns": 2,
+                    "max_writes": 2}"#,
+                "crashck",
+            ),
+            other => panic!("no test body for kind '{other}'"),
+        };
+        let body = Json::parse(body).unwrap();
+        let accepted = client::post_json(addr, kind.route, &body).unwrap();
+        assert_eq!(accepted.status, 202, "{}", kind.name);
+        let doc = accepted.json().unwrap();
+        let id = doc.get("job").and_then(Json::as_f64).unwrap() as usize;
+        wait_until("job to finish", Duration::from_secs(120), || {
+            handle.job_state(id) == Some(JobState::Done)
+        });
+        let result = client::get(addr, &format!("/v1/jobs/{id}/result")).unwrap();
+        let trace = client::get(addr, &format!("/v1/jobs/{id}/trace")).unwrap();
+        let (result_json, ndjson) = run_spec(&(kind.parse)(&body).unwrap());
+        assert_eq!(result.body, result_json.as_bytes(), "{} result", kind.name);
+        assert_eq!(trace.body, ndjson.as_bytes(), "{} ndjson", kind.name);
+
+        let wrong = client::get(addr, kind.route).unwrap();
+        assert_eq!(wrong.status, 405, "{}", kind.name);
+        let metrics = client::get(addr, "/metrics").unwrap().text();
+        let series = format!("soteria_svc_latency_ns_count{{endpoint=\"{label}\"}} ");
+        assert!(metrics.contains(&series), "{} missing {series}", kind.name);
+    }
     handle.shutdown();
     join.join().expect("serve thread");
 }
