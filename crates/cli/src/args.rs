@@ -48,6 +48,13 @@ impl std::fmt::Display for ArgsError {
 
 impl std::error::Error for ArgsError {}
 
+/// The CLI reports every failure as its one-line message.
+impl From<ArgsError> for String {
+    fn from(e: ArgsError) -> String {
+        e.to_string()
+    }
+}
+
 impl Args {
     /// Parses an iterator of arguments (without the program name).
     ///

@@ -11,7 +11,17 @@
 
 mod args;
 
+use std::io::ErrorKind;
 use std::process::ExitCode;
+use std::time::Duration;
+
+/// std's `print!`/`println!`, through [`write_stdout`].
+macro_rules! print {
+    ($($arg:tt)*) => { $crate::write_stdout(format!($($arg)*).as_bytes()) };
+}
+macro_rules! println {
+    ($($arg:tt)*) => { print!("{}\n", format_args!($($arg)*)) };
+}
 
 use args::Args;
 use soteria::analysis::ExpectedLossModel;
@@ -24,11 +34,12 @@ use soteria_faultsim::{
 };
 use soteria_faultsim::job::{parse_ecc, parse_tree};
 use soteria_rt::json::Json;
+use soteria_simcpu::{System, SystemConfig};
+use soteria_svc::client::{self, ClientConfig};
 use soteria_svc::http::ReadLimits;
 use soteria_svc::{
-    client, fleet, submit_burst, Coordinator, FleetConfig, LoadReport, Server, ServerConfig,
+    fleet, submit_burst, Coordinator, FleetConfig, LoadReport, Server, ServerConfig,
 };
-use soteria_simcpu::{System, SystemConfig};
 use soteria_workloads::{standard_suite, SuiteConfig, Workload};
 
 /// Every subcommand with its one-line description — the single source
@@ -131,8 +142,7 @@ OPTIONS (by command):
       --addr A                 server address (default 127.0.0.1:7787)
       --out PATH               write the result JSON (default: stdout)
       --trace-out PATH         also fetch and write the NDJSON trace
-      --poll-ms N              status poll interval (default 50)
-      --timeout-s N            give up after this long (default 600)
+      --timeout-s N            how long to wait for the result (default 600)
   http
       --addr A                 server address (default 127.0.0.1:7787)
       --method M               request method (default GET)
@@ -153,7 +163,8 @@ OPTIONS (by command):
                                127.0.0.1:7799; port 0 picks an ephemeral one)
       --min-workers N          registrations to wait for before sharding
                                (default 1)
-      --chunk N                accumulation blocks per lease (default 4)
+      --chunk N                accumulation blocks per lease (default 4); a
+                               lease must compute within its 10 s read timeout
       --register-timeout-s N   how long to wait for the starting quorum
                                (default 30)
       --out PATH               write the merged result JSON (default: stdout)
@@ -212,8 +223,8 @@ fn cmd_info() {
 
 fn cmd_perf(args: &Args) -> Result<(), String> {
     let name = args.get_or("workload", "sps").to_string();
-    let ops = args.get_num("ops", 100_000u64).map_err(|e| e.to_string())?;
-    let cores = args.get_num("cores", 1usize).map_err(|e| e.to_string())?;
+    let ops = args.get_num("ops", 100_000u64)?;
+    let cores = args.get_num("cores", 1usize)?;
     let policy = scheme_of(args.get_or("scheme", "src"))?;
     let suite_config = SuiteConfig {
         footprint_bytes: 64 << 20,
@@ -291,10 +302,8 @@ fn cmd_perf(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let fit = args.get_num("fit", 80.0f64).map_err(|e| e.to_string())?;
-    let iters = args
-        .get_num("iters", 100_000u64)
-        .map_err(|e| e.to_string())?;
+    let fit = args.get_num("fit", 80.0f64)?;
+    let iters = args.get_num("iters", 100_000u64)?;
     let mut config = CampaignConfig::table4(fit);
     config.iterations = iters;
     config.correctable_chips = parse_ecc(args.get_or("ecc", "chipkill"))?;
@@ -306,9 +315,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
     if let Some(s) = args.get("seed") {
         config.seed = parse_seed(s)?;
     }
-    config.capacity_bytes = args
-        .get_num("capacity", config.capacity_bytes)
-        .map_err(|e| e.to_string())?;
+    config.capacity_bytes = args.get_num("capacity", config.capacity_bytes)?;
     if let Some(threads) = count_flag(args, "threads", "thread count")? {
         config.threads = threads;
     }
@@ -365,18 +372,10 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let defaults = CompareConfig::default();
     let mut config = CompareConfig {
-        fit_per_chip: args
-            .get_num("fit", defaults.fit_per_chip)
-            .map_err(|e| e.to_string())?,
-        iterations: args
-            .get_num("iters", defaults.iterations)
-            .map_err(|e| e.to_string())?,
-        trace_ops: args
-            .get_num("ops", defaults.trace_ops)
-            .map_err(|e| e.to_string())?,
-        capacity_bytes: args
-            .get_num("capacity", defaults.capacity_bytes)
-            .map_err(|e| e.to_string())?,
+        fit_per_chip: args.get_num("fit", defaults.fit_per_chip)?,
+        iterations: args.get_num("iters", defaults.iterations)?,
+        trace_ops: args.get_num("ops", defaults.trace_ops)?,
+        capacity_bytes: args.get_num("capacity", defaults.capacity_bytes)?,
         ..defaults
     };
     if let Some(s) = args.get("seed") {
@@ -427,10 +426,8 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_rare(args: &Args) -> Result<(), String> {
-    let fit = args.get_num("fit", 80.0f64).map_err(|e| e.to_string())?;
-    let samples = args
-        .get_num("samples", 3000u64)
-        .map_err(|e| e.to_string())?;
+    let fit = args.get_num("fit", 80.0f64)?;
+    let samples = args.get_num("samples", 3000u64)?;
     let config = CampaignConfig::table4(fit);
     let results = estimate_clone_udr(
         &config,
@@ -700,6 +697,16 @@ fn job_body(kind: &str, args: &Args) -> Result<Json, String> {
     Ok(Json::Obj(fields))
 }
 
+/// Every byte the CLI prints goes here: a closed stdout (`soteria info |
+/// head -1`) exits quietly with a SIGPIPE death's status, not std's panic.
+fn write_stdout(bytes: &[u8]) {
+    use std::io::Write as _;
+    match std::io::stdout().write_all(bytes) {
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(141),
+        done => done.expect("failed printing to stdout"),
+    }
+}
+
 /// Writes the bound address to `--port-file`, when given, for scripts.
 fn write_port_file(args: &Args, local: std::net::SocketAddr) -> Result<(), String> {
     match args.get("port-file") {
@@ -709,39 +716,42 @@ fn write_port_file(args: &Args, local: std::net::SocketAddr) -> Result<(), Strin
     }
 }
 
-/// Renders a non-2xx response as the server's one-line error message.
+/// Renders a non-2xx response as the server's one-line error message; a
+/// failed job's `500` already reads `job N failed: …`.
 fn http_failure(resp: &client::HttpResponse) -> String {
     let detail = resp
         .json()
         .ok()
         .and_then(|doc| doc.get("error").and_then(Json::as_str).map(str::to_string))
         .unwrap_or_else(|| resp.text().trim().to_string());
-    format!("server said HTTP {}: {detail}", resp.status)
+    match resp.status {
+        500 => detail,
+        status => format!("server said HTTP {status}: {detail}"),
+    }
+}
+
+/// The job server of `serve` and `worker`: the server flags, the bind at
+/// `--addr` (default `default_addr`), and the `--port-file` write.
+fn bind_server(args: &Args, default_addr: &str) -> Result<(Server, ServerConfig), String> {
+    let config = ServerConfig {
+        workers: args.get_num("workers", 2)?,
+        queue_capacity: args.get_num("queue", 8)?,
+        read_timeout: Duration::from_millis(args.get_num("read-timeout-ms", 5000)?),
+        limits: ReadLimits {
+            max_head_bytes: 16 * 1024,
+            max_body_bytes: args.get_num("max-body", 1024 * 1024)?,
+        },
+    };
+    let addr = args.get_or("addr", default_addr);
+    let server =
+        Server::bind(addr, config.clone()).map_err(|e| format!("binding '{addr}': {e}"))?;
+    write_port_file(args, server.local_addr())?;
+    Ok((server, config))
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let addr = args.get_or("addr", "127.0.0.1:7787").to_string();
-    let workers = args.get_num("workers", 2usize).map_err(|e| e.to_string())?;
-    let queue = args.get_num("queue", 8usize).map_err(|e| e.to_string())?;
-    let max_body = args
-        .get_num("max-body", 1024 * 1024usize)
-        .map_err(|e| e.to_string())?;
-    let read_timeout_ms = args
-        .get_num("read-timeout-ms", 5000u64)
-        .map_err(|e| e.to_string())?;
-    let config = ServerConfig {
-        workers,
-        queue_capacity: queue,
-        retry_after_secs: 1,
-        read_timeout: std::time::Duration::from_millis(read_timeout_ms),
-        limits: ReadLimits {
-            max_head_bytes: 16 * 1024,
-            max_body_bytes: max_body,
-        },
-    };
-    let server = Server::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
-    let local = server.local_addr();
-    write_port_file(args, local)?;
+    let (server, config) = bind_server(args, "127.0.0.1:7787")?;
+    let (local, workers, queue) = (server.local_addr(), config.workers, config.queue_capacity);
     println!("soteria-svc listening on {local} ({workers} workers, queue capacity {queue})");
     println!("POST /v1/shutdown (or `soteria http --method POST --path /v1/shutdown`) drains and exits");
     let handle = server.handle();
@@ -763,36 +773,21 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         .get("job")
         .and_then(Json::as_f64)
         .ok_or("submit response missing 'job' id")? as u64;
-    let poll = args.get_num("poll-ms", 50u64).map_err(|e| e.to_string())?;
-    let timeout = args.get_num("timeout-s", 600u64).map_err(|e| e.to_string())?;
-    eprintln!("job {id} accepted by {addr}; polling every {poll} ms");
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(timeout);
-    loop {
-        let status = client::get(&*addr, &format!("/v1/jobs/{id}"))
-            .map_err(|e| format!("polling {addr}: {e}"))?;
-        if status.status != 200 {
-            return Err(http_failure(&status));
-        }
-        let doc = status.json()?;
-        match doc.get("status").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") => {
-                let why = doc
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("campaign panicked");
-                return Err(format!("job {id} failed: {why}"));
+    let timeout = args.get_num("timeout-s", 600u64)?;
+    eprintln!("job {id} accepted by {addr}; waiting for its result");
+    // The server answers the result request when the job ends.
+    let wait = ClientConfig {
+        read_timeout: Duration::from_secs(timeout),
+        ..ClientConfig::default()
+    };
+    let path = format!("/v1/jobs/{id}/result");
+    let result =
+        client::request_with(&*addr, "GET", &path, None, &wait).map_err(|e| match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                format!("job {id} still not done after {timeout}s")
             }
-            _ => {
-                if std::time::Instant::now() > deadline {
-                    return Err(format!("job {id} still not done after {timeout}s"));
-                }
-                std::thread::sleep(std::time::Duration::from_millis(poll));
-            }
-        }
-    }
-    let result = client::get(&*addr, &format!("/v1/jobs/{id}/result"))
-        .map_err(|e| format!("fetching result: {e}"))?;
+            _ => format!("fetching result: {e}"),
+        })?;
     if result.status != 200 {
         return Err(http_failure(&result));
     }
@@ -827,10 +822,7 @@ fn cmd_http(args: &Args) -> Result<(), String> {
     let resp = client::request(addr, method, path, body)
         .map_err(|e| format!("{method} {addr}{path}: {e}"))?;
     eprintln!("HTTP {} {}", resp.status, resp.reason);
-    use std::io::Write as _;
-    std::io::stdout()
-        .write_all(&resp.body)
-        .map_err(|e| e.to_string())?;
+    write_stdout(&resp.body);
     if resp.status >= 400 {
         return Err(http_failure(&resp));
     }
@@ -868,7 +860,7 @@ fn split_round_robin(clients: usize, targets: usize) -> Vec<usize> {
 
 fn cmd_loadgen(args: &Args) -> Result<(), String> {
     use std::net::ToSocketAddrs;
-    let clients = args.get_num("clients", 16usize).map_err(|e| e.to_string())?;
+    let clients = args.get_num("clients", 16usize)?;
     let body = job_body("campaign", args)?;
     let targets = match args.get("targets") {
         Some(spec) => parse_targets(spec)?,
@@ -926,16 +918,11 @@ fn cmd_coordinate(args: &Args) -> Result<(), String> {
     JobSpec::from_kind(&kind, &body)?;
     let addr = args.get_or("addr", "127.0.0.1:7799").to_string();
     let mut config = FleetConfig {
-        min_workers: args
-            .get_num("min-workers", 1usize)
-            .map_err(|e| e.to_string())?,
-        chunk_blocks: args.get_num("chunk", 4u64).map_err(|e| e.to_string())?,
+        min_workers: args.get_num("min-workers", 1usize)?,
+        chunk_blocks: args.get_num("chunk", 4u64)?,
         ..FleetConfig::default()
     };
-    config.register_timeout = std::time::Duration::from_secs(
-        args.get_num("register-timeout-s", 30u64)
-            .map_err(|e| e.to_string())?,
-    );
+    config.register_timeout = Duration::from_secs(args.get_num("register-timeout-s", 30u64)?);
     let coordinator =
         Coordinator::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
     let local = coordinator.local_addr();
@@ -967,17 +954,8 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
         .get("coordinator")
         .ok_or("worker needs --coordinator ADDR")?
         .to_string();
-    let addr = args.get_or("addr", "127.0.0.1:0").to_string();
-    let workers = args.get_num("workers", 2usize).map_err(|e| e.to_string())?;
-    let queue = args.get_num("queue", 8usize).map_err(|e| e.to_string())?;
-    let config = ServerConfig {
-        workers,
-        queue_capacity: queue,
-        ..ServerConfig::default()
-    };
-    let server = Server::bind(&*addr, config).map_err(|e| format!("binding '{addr}': {e}"))?;
-    let local = server.local_addr();
-    write_port_file(args, local)?;
+    let (server, config) = bind_server(args, "127.0.0.1:0")?;
+    let (local, workers) = (server.local_addr(), config.workers);
     let advertise = args.get_or("advertise", &local.to_string()).to_string();
     println!("fleet worker on {local} ({workers} job threads), registering with {coordinator}");
     // Register from a side thread with patient retries: the worker may
@@ -987,7 +965,7 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
             &coordinator,
             &advertise,
             40,
-            std::time::Duration::from_millis(250),
+            Duration::from_millis(250),
             &Default::default(),
         ) {
             Ok(id) => eprintln!("registered with {coordinator} as worker {id}"),
@@ -1001,7 +979,7 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
-    let args = Args::parse(std::env::args().skip(1)).map_err(|e| e.to_string())?;
+    let args = Args::parse(std::env::args().skip(1))?;
     if args.has_flag("help") {
         println!("{}", usage());
         return Ok(());
@@ -1018,7 +996,7 @@ fn run() -> Result<(), String> {
         Some("perf") => cmd_perf(&args),
         Some("record") => {
             let name = args.get_or("workload", "sps").to_string();
-            let ops = args.get_num("ops", 100_000u64).map_err(|e| e.to_string())?;
+            let ops = args.get_num("ops", 100_000u64)?;
             let default_out = format!("{name}.trace");
             let out = args.get_or("out", &default_out).to_string();
             let cfg = SuiteConfig {

@@ -381,3 +381,79 @@ fn record_then_replay_roundtrip() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("trace:"));
     std::fs::remove_file(&trace).ok();
 }
+
+/// `soteria worker` reads the server flags as `serve` does: with
+/// `--max-body 64` a 99-byte submission gets the `413`.
+#[test]
+fn worker_honours_the_server_flags() {
+    let port_file = std::env::temp_dir().join(format!("cli_worker_{}_addr", std::process::id()));
+    // Nothing listens on the coordinator address; the worker serves anyway.
+    let worker = soteria()
+        .args([
+            "worker",
+            "--addr",
+            "127.0.0.1:0",
+            "--coordinator",
+            "127.0.0.1:1",
+        ])
+        .args(["--max-body", "64", "--port-file"])
+        .arg(&port_file)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn worker");
+    let _worker = KillOnDrop(worker);
+    let mut addr = String::new();
+    for _ in 0..400 {
+        if let Ok(text) = std::fs::read_to_string(&port_file) {
+            if text.ends_with('\n') {
+                addr = text.trim().to_string();
+                break;
+            }
+        }
+        std::thread::sleep(std::time::Duration::from_millis(25));
+    }
+    assert!(!addr.is_empty(), "worker never wrote its port file");
+
+    let body = format!("{{\"iterations\": 64{}}}", " ".repeat(81));
+    assert_eq!(body.len(), 99);
+    let out = soteria()
+        .args([
+            "http",
+            "--addr",
+            &addr,
+            "--method",
+            "POST",
+            "--path",
+            "/v1/campaigns",
+        ])
+        .args(["--body", &body])
+        .output()
+        .expect("spawn http");
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("HTTP 413"), "{err}");
+    assert!(
+        err.contains("request body exceeds the 64-byte limit"),
+        "{err}"
+    );
+    std::fs::remove_file(&port_file).ok();
+}
+
+/// A closed stdout ends the command without a word on stderr.
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = soteria()
+        .arg("info")
+        .stdout(writer)
+        .output()
+        .expect("spawn info");
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+    assert_eq!(
+        out.status.code(),
+        Some(141),
+        "the status of a SIGPIPE death"
+    );
+}

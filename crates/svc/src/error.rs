@@ -6,6 +6,8 @@
 
 use std::fmt;
 
+use crate::server::RETRY_AFTER_SECS;
+
 /// A request-level failure, carrying everything needed to render both an
 /// HTTP error response and a CLI one-liner.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,14 +33,13 @@ pub enum SvcError {
         /// The configured limit in bytes.
         limit: usize,
     },
-    /// The bounded job queue is full; the client should back off.
-    QueueFull {
-        /// Suggested wait before retrying, in seconds (also sent as the
-        /// `Retry-After` header).
-        retry_after_secs: u64,
-    },
+    /// The bounded job queue is full; the client should back off for
+    /// the `Retry-After` seconds.
+    QueueFull,
     /// The server is shutting down and only drains already-accepted work.
     Draining,
+    /// A job or shard panicked; the message names it and the panic.
+    JobFailed(String),
 }
 
 impl SvcError {
@@ -50,8 +51,9 @@ impl SvcError {
             SvcError::MethodNotAllowed { .. } => (405, "Method Not Allowed"),
             SvcError::RequestTimeout => (408, "Request Timeout"),
             SvcError::PayloadTooLarge { .. } => (413, "Payload Too Large"),
-            SvcError::QueueFull { .. } => (429, "Too Many Requests"),
+            SvcError::QueueFull => (429, "Too Many Requests"),
             SvcError::Draining => (503, "Service Unavailable"),
+            SvcError::JobFailed(_) => (500, "Internal Server Error"),
         }
     }
 }
@@ -71,13 +73,14 @@ impl fmt::Display for SvcError {
             SvcError::PayloadTooLarge { what, limit } => {
                 write!(f, "request {what} exceeds the {limit}-byte limit")
             }
-            SvcError::QueueFull { retry_after_secs } => write!(
+            SvcError::QueueFull => write!(
                 f,
-                "job queue is full; retry after {retry_after_secs}s (see Retry-After)"
+                "job queue is full; retry after {RETRY_AFTER_SECS}s (see Retry-After)"
             ),
             SvcError::Draining => {
                 write!(f, "server is draining: finishing accepted jobs, not taking new ones")
             }
+            SvcError::JobFailed(what) => write!(f, "{what}"),
         }
     }
 }
@@ -120,14 +123,16 @@ mod tests {
                 "request body exceeds the 65536-byte limit",
             ),
             (
-                SvcError::QueueFull {
-                    retry_after_secs: 1,
-                },
+                SvcError::QueueFull,
                 "job queue is full; retry after 1s (see Retry-After)",
             ),
             (
                 SvcError::Draining,
                 "server is draining: finishing accepted jobs, not taking new ones",
+            ),
+            (
+                SvcError::JobFailed("job 3 failed: boom".into()),
+                "job 3 failed: boom",
             ),
         ];
         for (err, expected) in cases {
@@ -158,14 +163,8 @@ mod tests {
             .0,
             413
         );
-        assert_eq!(
-            SvcError::QueueFull {
-                retry_after_secs: 1
-            }
-            .status()
-            .0,
-            429
-        );
+        assert_eq!(SvcError::QueueFull.status().0, 429);
         assert_eq!(SvcError::Draining.status().0, 503);
+        assert_eq!(SvcError::JobFailed(String::new()).status().0, 500);
     }
 }

@@ -6,22 +6,26 @@
 //! (`soteria_faultsim::shard::total_blocks`) into contiguous chunks, and
 //! leases chunks to registered workers — each an ordinary `soteria
 //! serve` instance reached over the [`crate::client`] with tight
-//! connect/read timeouts. Workers compute partial sums
-//! (`POST /v1/blocks`); the coordinator folds them back through the
-//! exact single-node reduction (`soteria_faultsim::shard::merge_partials`),
-//! so the merged artifact is **byte-identical** to a single-node run at
-//! the same seed, regardless of shard count or worker failures.
+//! connect/read timeouts. A lease is one RPC: `POST /v1/blocks`, answered
+//! with the chunk's partial document once the worker has computed it, so
+//! the client's read timeout (10 s by default) bounds one lease's
+//! compute. The coordinator folds the partials back through the exact
+//! single-node reduction (`soteria_faultsim::shard::merge_partials`), so
+//! the merged artifact is **byte-identical** to a single-node run at the
+//! same seed, regardless of shard count or worker failures.
 //!
 //! Failure handling is lease-based and fully deterministic in its
 //! arithmetic (only the *schedule* varies):
 //!
-//! * A worker whose RPCs fail after bounded retry-with-backoff
+//! * A worker whose lease RPC fails after bounded retry-with-backoff
 //!   ([`crate::client::retrying`]) is declared dead; its outstanding
 //!   leases return to the pending queue ([`BlockScheduler::fail_worker`]).
+//!   There are no idle heartbeats: liveness is judged on the lease RPC.
 //! * An idle worker steals the oldest outstanding lease of a slow peer
 //!   ([`BlockScheduler::steal`]), duplicating work rather than waiting.
 //!   Duplicate partials are bit-identical by construction, so the merge
-//!   keeps whichever copy landed first.
+//!   keeps whichever copy landed first. A worker with nothing to lease or
+//!   steal waits for the fleet's state to change, not on a timer.
 //!
 //! The coordinator also serves a small control plane: worker
 //! registration, fleet status, and per-worker Prometheus gauges. It runs
@@ -42,7 +46,7 @@ use soteria_rt::obs::Timer;
 use crate::client::{self, ClientConfig};
 use crate::error::SvcError;
 use crate::http::{method_not_allowed, ReadLimits, Request, Response};
-use crate::nio::{self, Plane};
+use crate::nio::{self, Plane, Reply, Wake};
 
 /// How long a control-plane request may stall before its `408`.
 const CONTROL_READ_TIMEOUT: Duration = Duration::from_secs(5);
@@ -55,10 +59,9 @@ pub struct FleetConfig {
     pub min_workers: usize,
     /// How long to wait for `min_workers` registrations.
     pub register_timeout: Duration,
-    /// Blocks per lease (the work-distribution grain).
+    /// Blocks per lease (the work-distribution grain). One lease must
+    /// compute within `client.read_timeout`.
     pub chunk_blocks: u64,
-    /// Idle/poll cadence for job-status polls and lease scans.
-    pub poll_interval: Duration,
     /// Attempts per worker RPC before the worker is declared dead.
     pub rpc_attempts: u32,
     /// Initial backoff between RPC retries (doubles, capped at 2 s).
@@ -73,7 +76,6 @@ impl Default for FleetConfig {
             min_workers: 1,
             register_timeout: Duration::from_secs(30),
             chunk_blocks: 4,
-            poll_interval: Duration::from_millis(50),
             rpc_attempts: 3,
             rpc_backoff: Duration::from_millis(100),
             client: ClientConfig {
@@ -280,7 +282,8 @@ struct WorkerEntry {
 
 struct FleetState {
     workers: Vec<WorkerEntry>,
-    scheduler: Option<BlockScheduler>,
+    /// Empty until [`Coordinator::run`] installs the job's blocks.
+    scheduler: BlockScheduler,
     partials: Vec<Json>,
     finished: bool,
 }
@@ -288,15 +291,16 @@ struct FleetState {
 struct FleetShared {
     state: Mutex<FleetState>,
     changed: Condvar,
+    /// Wakes the control plane's loop once the job is `finished`.
+    wake: Wake,
 }
 
 /// Renders the fleet's Prometheus exposition: fleet-wide gauges plus
 /// one `{worker="…"}` series per registered worker.
 fn render_metrics(state: &FleetState) -> String {
-    let (total, in_flight, lag, reassigned) = match &state.scheduler {
-        Some(s) => (s.total(), s.in_flight(), s.merge_lag(), s.reassigned_blocks()),
-        None => (0, 0, 0, 0),
-    };
+    let s = &state.scheduler;
+    let (total, in_flight, lag, reassigned) =
+        (s.total(), s.in_flight(), s.merge_lag(), s.reassigned_blocks());
     let alive = state.workers.iter().filter(|w| w.alive).count();
     let mut text = String::new();
     for (name, kind, value) in [
@@ -355,11 +359,12 @@ impl Coordinator {
             shared: Arc::new(FleetShared {
                 state: Mutex::new(FleetState {
                     workers: Vec::new(),
-                    scheduler: None,
+                    scheduler: BlockScheduler::new(0),
                     partials: Vec::new(),
                     finished: false,
                 }),
                 changed: Condvar::new(),
+                wake: Wake::new()?,
             }),
         })
     }
@@ -384,10 +389,7 @@ impl Coordinator {
         let total = total_blocks(&spec);
         let shared = &*self.shared;
         let config = &self.config;
-        {
-            let mut st = shared.state.lock().unwrap();
-            st.scheduler = Some(BlockScheduler::new(total));
-        }
+        shared.state.lock().unwrap().scheduler = BlockScheduler::new(total);
         let outcome: Result<Vec<Json>, String> = thread::scope(|s| {
             // Serves until `finished`, so late scrapes still answer.
             s.spawn(|| {
@@ -395,72 +397,57 @@ impl Coordinator {
                     &self.listener,
                     &ReadLimits::default(),
                     CONTROL_READ_TIMEOUT,
+                    &shared.wake,
                     shared,
                 )
             });
 
             // Wait for the starting quorum.
             let deadline = Instant::now() + config.register_timeout;
-            {
-                let mut st = shared.state.lock().unwrap();
-                while st.workers.len() < config.min_workers {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (next, _) = shared
-                        .changed
-                        .wait_timeout(st, deadline - now)
-                        .unwrap();
-                    st = next;
+            let mut st = shared.state.lock().unwrap();
+            while st.workers.len() < config.min_workers {
+                let now = Instant::now();
+                if now >= deadline {
+                    break;
                 }
-                if st.workers.is_empty() {
-                    st.finished = true;
-                    return Err(format!(
-                        "no worker registered within {:?}",
-                        config.register_timeout
-                    ));
-                }
+                st = shared.changed.wait_timeout(st, deadline - now).unwrap().0;
             }
-
-            // Main loop: spawn a driver per registered worker (including
-            // late joiners), until coverage completes or the fleet dies.
-            let result = loop {
-                let mut st = shared.state.lock().unwrap();
-                for id in 0..st.workers.len() {
-                    if st.workers[id].alive && !st.workers[id].driver_spawned {
-                        st.workers[id].driver_spawned = true;
-                        let addr = st.workers[id].addr.clone();
-                        s.spawn(move || {
-                            drive_worker(shared, config, kind, config_body, id, &addr)
-                        });
+            // Then spawn a driver per registered worker (including late
+            // joiners), until coverage completes or the fleet dies.
+            let result = if st.workers.is_empty() {
+                Err(format!(
+                    "no worker registered within {:?}",
+                    config.register_timeout
+                ))
+            } else {
+                loop {
+                    for id in 0..st.workers.len() {
+                        if st.workers[id].alive && !st.workers[id].driver_spawned {
+                            st.workers[id].driver_spawned = true;
+                            let addr = st.workers[id].addr.clone();
+                            s.spawn(move || {
+                                drive_worker(shared, config, kind, config_body, id, &addr)
+                            });
+                        }
                     }
+                    if st.scheduler.is_complete() {
+                        break Ok(std::mem::take(&mut st.partials));
+                    }
+                    if st.workers.iter().all(|w| !w.alive) {
+                        break Err(format!(
+                            "every worker died with {} of {} blocks unmerged",
+                            st.scheduler.merge_lag(),
+                            st.scheduler.total()
+                        ));
+                    }
+                    st = shared.changed.wait(st).unwrap();
                 }
-                let (complete, lag, total) = {
-                    let sched = st
-                        .scheduler
-                        .as_ref()
-                        .expect("scheduler is installed before drivers start");
-                    (sched.is_complete(), sched.merge_lag(), sched.total())
-                };
-                if complete {
-                    st.finished = true;
-                    break Ok(std::mem::take(&mut st.partials));
-                }
-                if st.workers.iter().all(|w| !w.alive) {
-                    st.finished = true;
-                    break Err(format!(
-                        "every worker died with {lag} of {total} blocks unmerged"
-                    ));
-                }
-                let (next, _) = shared
-                    .changed
-                    .wait_timeout(st, config.poll_interval)
-                    .unwrap();
-                drop(next);
             };
-            // Drivers observe `finished` and exit.
+            st.finished = true;
+            drop(st);
+            // Drivers observe `finished` and exit; the control plane stops.
             shared.changed.notify_all();
+            shared.wake.send(Vec::new());
             result
         });
         let partials = outcome?;
@@ -469,7 +456,9 @@ impl Coordinator {
 }
 
 /// One worker's driver: lease → RPC → complete, until the campaign
-/// finishes or the worker dies.
+/// finishes or the worker dies. With nothing to lease or steal it waits
+/// for a change, under the lock acquisition of its attempt, so no wakeup
+/// between the attempt and the wait is lost.
 fn drive_worker(
     shared: &FleetShared,
     config: &FleetConfig,
@@ -478,69 +467,38 @@ fn drive_worker(
     worker: usize,
     addr: &str,
 ) {
-    enum Task {
-        Range(u64, u64),
-        Idle,
-        Stop,
-    }
     loop {
-        let task = {
+        let lease = {
             let mut st = shared.state.lock().unwrap();
-            if st.finished || !st.workers[worker].alive {
-                Task::Stop
-            } else {
-                match st.scheduler.as_mut() {
-                    None => Task::Stop,
-                    Some(sched) if sched.is_complete() => Task::Stop,
-                    Some(sched) => match sched
-                        .lease(worker, config.chunk_blocks)
-                        .or_else(|| sched.steal(worker))
-                    {
-                        Some((lo, hi)) => Task::Range(lo, hi),
-                        None => Task::Idle,
-                    },
+            loop {
+                if st.finished || !st.workers[worker].alive || st.scheduler.is_complete() {
+                    break None;
                 }
+                let sched = &mut st.scheduler;
+                if let Some(lease) = sched
+                    .lease(worker, config.chunk_blocks)
+                    .or_else(|| sched.steal(worker))
+                {
+                    break Some(lease);
+                }
+                st = shared.changed.wait(st).unwrap();
             }
         };
-        match task {
-            Task::Stop => break,
-            Task::Idle => {
-                // Keep assessing liveness while idle so a silently dead
-                // worker is noticed even between leases.
-                if rpc_get(addr, "/healthz", config).is_err() {
-                    let mut st = shared.state.lock().unwrap();
-                    st.workers[worker].alive = false;
-                    if let Some(sched) = st.scheduler.as_mut() {
-                        sched.fail_worker(worker);
-                    }
-                    shared.changed.notify_all();
-                    break;
-                }
-                thread::sleep(config.poll_interval);
-            }
-            Task::Range(lo, hi) => {
-                match run_range_on_worker(addr, kind, config_body, lo, hi, config) {
-                    Ok(partial) => {
-                        let mut st = shared.state.lock().unwrap();
-                        st.workers[worker].blocks_done += hi - lo;
-                        if let Some(sched) = st.scheduler.as_mut() {
-                            sched.complete(worker, lo, hi);
-                        }
-                        st.partials.push(partial);
-                        shared.changed.notify_all();
-                    }
-                    Err(_) => {
-                        let mut st = shared.state.lock().unwrap();
-                        st.workers[worker].alive = false;
-                        if let Some(sched) = st.scheduler.as_mut() {
-                            sched.fail_worker(worker);
-                        }
-                        shared.changed.notify_all();
-                        break;
-                    }
-                }
-            }
-        }
+        let Some((lo, hi)) = lease else {
+            break;
+        };
+        let outcome = run_range_on_worker(addr, kind, config_body, lo, hi, config);
+        let mut st = shared.state.lock().unwrap();
+        let Ok(partial) = outcome else {
+            st.workers[worker].alive = false;
+            st.scheduler.fail_worker(worker);
+            shared.changed.notify_all();
+            break;
+        };
+        st.workers[worker].blocks_done += hi - lo;
+        st.scheduler.complete(worker, lo, hi);
+        st.partials.push(partial);
+        shared.changed.notify_all();
     }
 }
 
@@ -548,15 +506,10 @@ fn rpc_error(detail: String) -> io::Error {
     io::Error::other(detail)
 }
 
-fn rpc_get(addr: &str, path: &str, config: &FleetConfig) -> io::Result<client::HttpResponse> {
-    client::retrying(config.rpc_attempts, config.rpc_backoff, || {
-        client::request_with(addr, "GET", path, None, &config.client)
-    })
-}
-
-/// Submits blocks `lo..hi` to `addr`, polls the job to completion, and
-/// fetches the partial document. Every RPC retries with backoff; any
-/// persistent failure bubbles up so the caller declares the worker dead.
+/// Leases blocks `lo..hi` to `addr`: one `POST /v1/blocks`, answered with
+/// the partial document once computed. The RPC retries with backoff (a
+/// `429` too: the backoff makes room in the worker's queue); a persistent
+/// failure bubbles up so the caller declares the worker dead.
 fn run_range_on_worker(
     addr: &str,
     kind: &str,
@@ -572,7 +525,7 @@ fn run_range_on_worker(
         ("config".into(), config_body.clone()),
     ]);
     let bytes = body.to_string().into_bytes();
-    let submit = client::retrying(config.rpc_attempts, config.rpc_backoff, || {
+    client::retrying(config.rpc_attempts, config.rpc_backoff, || {
         let resp = client::request_with(
             addr,
             "POST",
@@ -580,70 +533,41 @@ fn run_range_on_worker(
             Some(("application/json", &bytes)),
             &config.client,
         )?;
-        // 429 (queue full) is transient: the bounded backoff makes room.
-        if resp.status == 429 {
-            return Err(rpc_error("worker queue full".into()));
+        if resp.status != 200 {
+            return Err(rpc_error(format!(
+                "block lease rejected with {}: {}",
+                resp.status,
+                resp.text()
+            )));
         }
-        Ok(resp)
-    })?;
-    if submit.status != 202 {
-        return Err(rpc_error(format!(
-            "block submit rejected with {}: {}",
-            submit.status,
-            submit.text()
-        )));
-    }
-    let job = submit
-        .json()
-        .map_err(rpc_error)?
-        .get("job")
-        .and_then(Json::as_f64)
-        .ok_or_else(|| rpc_error("submit response missing job id".into()))? as u64;
-    loop {
-        let status = rpc_get(addr, &format!("/v1/jobs/{job}"), config)?;
-        let state = status
-            .json()
-            .map_err(rpc_error)?
-            .get("status")
-            .and_then(|s| s.as_str().map(str::to_string))
-            .ok_or_else(|| rpc_error("status response missing status".into()))?;
-        match state.as_str() {
-            "done" => break,
-            "failed" => return Err(rpc_error(format!("worker job {job} failed"))),
-            _ => thread::sleep(config.poll_interval),
-        }
-    }
-    let result = rpc_get(addr, &format!("/v1/jobs/{job}/result"), config)?;
-    if result.status != 200 {
-        return Err(rpc_error(format!(
-            "partial fetch rejected with {}",
-            result.status
-        )));
-    }
-    result.json().map_err(rpc_error)
+        resp.json().map_err(rpc_error)
+    })
 }
 
 impl Plane for FleetShared {
-    fn route(&self, req: &Request) -> Result<Response, SvcError> {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => Ok(Response::ok("text/plain; charset=utf-8", b"ok\n".to_vec())),
+    fn route(&self, req: &Request, _later: Reply) -> Result<Option<Response>, SvcError> {
+        let response = match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => Response::ok("text/plain; charset=utf-8", b"ok\n".to_vec()),
             ("GET", "/metrics") => {
                 let text = render_metrics(&self.state.lock().unwrap());
-                Ok(Response::ok("text/plain; version=0.0.4", text.into_bytes()))
+                Response::ok("text/plain; version=0.0.4", text.into_bytes())
             }
             ("POST", "/v1/fleet/register") => {
                 let id = register_from_request(&req.body, self)?;
                 let body = Json::Obj(vec![("worker".into(), Json::Num(id as f64))]);
-                Ok(Response::json(200, "OK", body))
+                Response::json(200, "OK", body)
             }
             ("GET", "/v1/fleet") => {
                 let status = render_status(&self.state.lock().unwrap());
-                Ok(Response::json(200, "OK", status))
+                Response::json(200, "OK", status)
             }
-            (_, "/healthz" | "/metrics" | "/v1/fleet") => Err(method_not_allowed(req, "GET")),
-            (_, "/v1/fleet/register") => Err(method_not_allowed(req, "POST")),
-            (_, path) => Err(SvcError::NotFound(format!("no route for '{path}'"))),
-        }
+            (_, "/healthz" | "/metrics" | "/v1/fleet") => {
+                return Err(method_not_allowed(req, "GET"))
+            }
+            (_, "/v1/fleet/register") => return Err(method_not_allowed(req, "POST")),
+            (_, path) => return Err(SvcError::NotFound(format!("no route for '{path}'"))),
+        };
+        Ok(Some(response))
     }
 
     /// The control plane keeps no per-request metrics.
@@ -669,10 +593,7 @@ fn render_status(state: &FleetState) -> Json {
             ])
         })
         .collect();
-    let (done, total) = match &state.scheduler {
-        Some(s) => (s.done_blocks(), s.total()),
-        None => (0, 0),
-    };
+    let (done, total) = (state.scheduler.done_blocks(), state.scheduler.total());
     Json::Obj(vec![
         ("workers".into(), Json::Arr(workers)),
         ("blocks_done".into(), Json::Num(done as f64)),
@@ -840,7 +761,7 @@ mod tests {
                     driver_spawned: true,
                 },
             ],
-            scheduler: Some(scheduler),
+            scheduler,
             partials: Vec::new(),
             finished: false,
         };
@@ -872,11 +793,12 @@ mod tests {
         let shared = FleetShared {
             state: Mutex::new(FleetState {
                 workers: Vec::new(),
-                scheduler: None,
+                scheduler: BlockScheduler::new(0),
                 partials: Vec::new(),
                 finished: false,
             }),
             changed: Condvar::new(),
+            wake: Wake::new().unwrap(),
         };
         let id = register_from_request(br#"{"addr": "127.0.0.1:9001"}"#, &shared).unwrap();
         assert_eq!(id, 0);

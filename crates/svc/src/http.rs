@@ -15,6 +15,7 @@
 use soteria_rt::json::Json;
 
 use crate::error::SvcError;
+use crate::server::RETRY_AFTER_SECS;
 
 /// Size limits applied while reading a request.
 #[derive(Clone, Copy, Debug)]
@@ -216,10 +217,10 @@ impl Response {
             reason,
             Json::Obj(vec![("error".into(), Json::Str(err.to_string()))]),
         );
-        if let SvcError::QueueFull { retry_after_secs } = err {
+        if let SvcError::QueueFull = err {
             response
                 .extra
-                .push(("Retry-After", retry_after_secs.to_string()));
+                .push(("Retry-After", RETRY_AFTER_SECS.to_string()));
         }
         response
     }

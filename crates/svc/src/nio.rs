@@ -13,10 +13,17 @@
 //! accepted or shed in microseconds even while thousands of connections
 //! are parked.
 //!
+//! A plane may also park a request and answer it later from another
+//! thread through [`Wake::send`]. That [`Wake`], a socket pair the poller
+//! watches, is also how [`Plane::stop`] changes are noticed: the loop
+//! otherwise sleeps until I/O or the soonest read deadline, never on a
+//! timer.
+//!
 //! Per-connection lifecycle:
 //!
 //! ```text
 //! accept → Reading --parse ok--> route → Writing → close
+//!             |  |                 \--parked--> Parked --reply--> Writing → close
 //!             |  \--body too large--> DrainingBody → Writing → close
 //!             \--deadline--> 408 → Writing → close
 //! ```
@@ -29,6 +36,8 @@
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use soteria_rt::obs::Timer;
@@ -39,8 +48,9 @@ use crate::http::{drain_budget, parse_request, ReadLimits, Request, Response};
 
 /// One HTTP plane, as [`event_loop`] serves it.
 pub(crate) trait Plane {
-    /// Answers one parsed request.
-    fn route(&self, req: &Request) -> Result<Response, SvcError>;
+    /// Answers one parsed request now, or parks it (`Ok(None)`): the plane
+    /// keeps `later` and must answer it through [`Wake::send`].
+    fn route(&self, req: &Request, later: Reply) -> Result<Option<Response>, SvcError>;
     /// Books one settled request: its routed path (`/` when it never
     /// parsed), its status, and a timer started at accept.
     fn record(&self, path: &str, status: u16, timer: Timer);
@@ -52,8 +62,42 @@ pub(crate) trait Plane {
 /// The poller key reserved for the listening socket.
 const LISTENER_KEY: u64 = u64::MAX;
 
-/// Upper bound on one poll wait, so a stop is noticed promptly.
-const TICK: Duration = Duration::from_millis(25);
+/// The poller key reserved for the [`Wake`] socket.
+const WAKE_KEY: u64 = u64::MAX - 1;
+
+/// A parked request's connection, answered through [`Wake::send`].
+pub(crate) struct Reply(usize);
+
+/// Wakes [`event_loop`] from other threads: one byte on a socket pair the
+/// poller watches, plus the answers to parked requests it should write.
+pub(crate) struct Wake {
+    tx: UnixStream,
+    rx: UnixStream,
+    replies: Mutex<Vec<(Reply, Result<Response, SvcError>)>>,
+}
+
+impl Wake {
+    pub(crate) fn new() -> io::Result<Wake> {
+        let (tx, rx) = UnixStream::pair()?;
+        tx.set_nonblocking(true)?;
+        rx.set_nonblocking(true)?;
+        let replies = Mutex::new(Vec::new());
+        Ok(Wake { tx, rx, replies })
+    }
+
+    /// Wakes the loop with answers to parked requests, or none.
+    pub(crate) fn send(&self, replies: Vec<(Reply, Result<Response, SvcError>)>) {
+        self.replies.lock().unwrap().extend(replies);
+        // A full socket buffer already holds an unread wake.
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Drains the wakes, then takes the answers (a later one wakes again).
+    fn take(&self) -> Vec<(Reply, Result<Response, SvcError>)> {
+        while matches!((&self.rx).read(&mut [0u8; 64]), Ok(n) if n > 0) {}
+        std::mem::take(&mut *self.replies.lock().unwrap())
+    }
+}
 
 const READ_CHUNK: usize = 16 * 1024;
 
@@ -73,6 +117,8 @@ enum Phase {
         budget: usize,
         err: SvcError,
     },
+    /// Routed, its [`Reply`] held by the plane; out of the poller.
+    Parked { path: String },
     /// Response rendered; flushing `out`.
     Writing,
 }
@@ -100,6 +146,11 @@ impl Conn {
             timer: Some(Timer::start(true)),
             phase: Phase::Reading,
         }
+    }
+
+    /// Whether the read deadline applies: the request is still arriving.
+    fn reads(&self) -> bool {
+        matches!(self.phase, Phase::Reading | Phase::DrainingBody { .. })
     }
 
     /// Writes as much of `out` as the socket accepts right now.
@@ -138,12 +189,14 @@ impl Conn {
         self.flush()
     }
 
-    /// A readable event while accumulating the request.
+    /// A readable event while accumulating the request of the
+    /// connection in `slot`.
     fn on_reading(
         &mut self,
         plane: &dyn Plane,
         limits: &ReadLimits,
         read_timeout: Duration,
+        slot: usize,
     ) -> Next {
         let mut chunk = [0u8; READ_CHUNK];
         let mut closed = false;
@@ -167,8 +220,13 @@ impl Conn {
         }
         match parse_request(&self.buf, limits) {
             Ok(Some((request, _consumed))) => {
-                let outcome = plane.route(&request);
-                self.respond(plane, &request.path, outcome)
+                match plane.route(&request, Reply(slot)).transpose() {
+                    Some(outcome) => self.respond(plane, &request.path, outcome),
+                    None => {
+                        self.phase = Phase::Parked { path: request.path };
+                        Next::Keep
+                    }
+                }
             }
             Ok(None) if closed => self.respond(
                 plane,
@@ -223,13 +281,23 @@ impl Conn {
         self.respond(plane, "/", Err(err))
     }
 
-    /// The deadline passed without a complete request.
+    /// The plane's answer to the parked request.
+    fn on_answer(&mut self, plane: &dyn Plane, outcome: Result<Response, SvcError>) -> Next {
+        let Phase::Parked { path } = &mut self.phase else {
+            return Next::Keep;
+        };
+        let path = std::mem::take(path);
+        self.respond(plane, &path, outcome)
+    }
+
+    /// The read deadline passed: a `408`, or the `413` of a body being
+    /// drained.
     fn on_deadline(&mut self, plane: &dyn Plane) -> Next {
-        match std::mem::replace(&mut self.phase, Phase::Writing) {
-            Phase::Reading => self.respond(plane, "/", Err(SvcError::RequestTimeout)),
-            Phase::DrainingBody { err, .. } => self.respond(plane, "/", Err(err)),
-            Phase::Writing => Next::Keep,
-        }
+        let err = match std::mem::replace(&mut self.phase, Phase::Writing) {
+            Phase::DrainingBody { err, .. } => err,
+            _ => SvcError::RequestTimeout,
+        };
+        self.respond(plane, "/", Err(err))
     }
 }
 
@@ -268,31 +336,34 @@ fn accept_all(
     }
 }
 
-fn close(poller: &mut Poller, conns: &mut [Option<Conn>], slot: usize) {
-    if let Some(conn) = conns[slot].take() {
-        let _ = poller.deregister(conn.stream.as_raw_fd());
-    }
-}
-
-/// After an I/O pass left the connection alive, make sure the poller
-/// watches the direction it is waiting on.
-fn settle_interest(poller: &mut Poller, conns: &[Option<Conn>], slot: usize) {
-    if let Some(conn) = conns[slot].as_ref() {
-        let interest = match conn.phase {
-            Phase::Writing => Interest::Write,
-            _ => Interest::Read,
-        };
-        let _ = poller.modify(conn.stream.as_raw_fd(), slot as u64, interest);
+/// Closes the connection, or makes sure the poller watches the direction
+/// it is waiting on (and not at all while it is parked).
+fn settle(poller: &mut Poller, conns: &mut [Option<Conn>], slot: usize, next: Next) {
+    let Some(conn) = conns[slot].as_ref() else {
+        return;
+    };
+    let fd = conn.stream.as_raw_fd();
+    let _ = match conn.phase {
+        _ if next == Next::Close => poller.deregister(fd),
+        Phase::Parked { .. } => poller.deregister(fd),
+        Phase::Writing => poller.modify(fd, slot as u64, Interest::Write),
+        _ => poller.modify(fd, slot as u64, Interest::Read),
+    };
+    if next == Next::Close {
+        conns[slot] = None;
     }
 }
 
 /// Serves `plane` on `listener` until [`Plane::stop`] (or a listener
-/// failure) ends accepting and every open connection has settled.
-/// Returns at once when the poller cannot be set up.
+/// failure) ends accepting and every open connection, parked ones
+/// included, has settled; whoever may change [`Plane::stop`] must
+/// [`Wake::send`] on `wake`. Returns at once when the poller cannot be
+/// set up.
 pub(crate) fn event_loop(
     listener: &TcpListener,
     limits: &ReadLimits,
     read_timeout: Duration,
+    wake: &Wake,
     plane: &dyn Plane,
 ) {
     let Ok(mut poller) = Poller::new() else {
@@ -301,6 +372,9 @@ pub(crate) fn event_loop(
     if poller
         .register(listener.as_raw_fd(), LISTENER_KEY, Interest::Read)
         .is_err()
+        || poller
+            .register(wake.rx.as_raw_fd(), WAKE_KEY, Interest::Read)
+            .is_err()
     {
         return;
     }
@@ -315,16 +389,15 @@ pub(crate) fn event_loop(
         if !accepting && conns.iter().all(|c| c.is_none()) {
             break;
         }
-        // Wait no longer than the soonest connection deadline (or one
-        // tick, so a stop requested elsewhere is noticed).
+        // Sleep until I/O, a wake, or the soonest read deadline.
         let now = Instant::now();
-        let mut timeout = TICK;
-        for conn in conns.iter().flatten() {
-            if !matches!(conn.phase, Phase::Writing) {
-                timeout = timeout.min(conn.deadline.saturating_duration_since(now));
-            }
-        }
-        if poller.wait(&mut events, Some(timeout)).is_err() {
+        let timeout = conns
+            .iter()
+            .flatten()
+            .filter(|conn| conn.reads())
+            .map(|conn| conn.deadline.saturating_duration_since(now))
+            .min();
+        if poller.wait(&mut events, timeout).is_err() {
             std::thread::sleep(Duration::from_millis(5));
             continue;
         }
@@ -334,6 +407,18 @@ pub(crate) fn event_loop(
                     // Listener died: settle what was accepted and return.
                     let _ = poller.deregister(listener.as_raw_fd());
                     accepting = false;
+                }
+                continue;
+            }
+            if ev.key == WAKE_KEY {
+                for (Reply(slot), outcome) in wake.take() {
+                    let Some(conn) = conns[slot].as_mut() else {
+                        continue;
+                    };
+                    // Back in the poller, which `settle` then adjusts.
+                    let _ = poller.register(conn.stream.as_raw_fd(), slot as u64, Interest::Write);
+                    let next = conn.on_answer(plane, outcome);
+                    settle(&mut poller, &mut conns, slot, next);
                 }
                 continue;
             }
@@ -349,13 +434,11 @@ pub(crate) fn event_loop(
                         Next::Keep
                     }
                 }
-                Phase::Reading => conn.on_reading(plane, limits, read_timeout),
+                Phase::Reading => conn.on_reading(plane, limits, read_timeout, slot),
                 Phase::DrainingBody { .. } => conn.on_draining(plane, read_timeout),
+                Phase::Parked { .. } => Next::Keep,
             };
-            match next {
-                Next::Close => close(&mut poller, &mut conns, slot),
-                Next::Keep => settle_interest(&mut poller, &conns, slot),
-            }
+            settle(&mut poller, &mut conns, slot, next);
         }
         // Deadline sweep: time out requests that stopped making progress.
         let now = Instant::now();
@@ -363,13 +446,11 @@ pub(crate) fn event_loop(
             let Some(conn) = conns[slot].as_mut() else {
                 continue;
             };
-            if matches!(conn.phase, Phase::Writing) || now < conn.deadline {
+            if !conn.reads() || now < conn.deadline {
                 continue;
             }
-            match conn.on_deadline(plane) {
-                Next::Close => close(&mut poller, &mut conns, slot),
-                Next::Keep => settle_interest(&mut poller, &conns, slot),
-            }
+            let next = conn.on_deadline(plane);
+            settle(&mut poller, &mut conns, slot, next);
         }
     }
 }

@@ -9,7 +9,7 @@
 //! | `/v1/campaigns` | POST | submit a campaign config, get `202` + job id |
 //! | `/v1/compare` | POST | submit a cross-scheme compare config, get `202` + job id |
 //! | `/v1/crashck` | POST | submit a crash-consistency sweep config, get `202` + job id |
-//! | `/v1/blocks` | POST | submit a block-range shard of a job (fleet workers) |
+//! | `/v1/blocks` | POST | run a block-range shard (fleet workers), get `200` + its partial |
 //! | `/v1/jobs/{id}` | GET | job status (`queued`/`running`/`done`/`failed`) |
 //! | `/v1/jobs/{id}/result` | GET | the result JSON, byte-identical to `soteria campaign --json` |
 //! | `/v1/jobs/{id}/trace` | GET | the NDJSON trace, byte-identical to `--trace` |
@@ -21,14 +21,21 @@
 //! (`soteria_faultsim::job::KINDS`): a POST finds its kind, its config
 //! parser and its latency label (the route's last segment) there.
 //!
+//! A `/v1/blocks` shard gets no job id and is never retained: its
+//! request is answered with the partial once a worker has run it. A
+//! `result`/`trace` request for an unfinished job is answered when the
+//! job ends, with the bytes a later request gets. Both wait as parked
+//! reactor connections, not as threads.
+//!
 //! # Backpressure and drain
 //!
-//! The queue holds at most `queue_capacity` jobs; a submit against a
-//! full queue is rejected with `429` and a `Retry-After` header — jobs
-//! are never silently dropped. A drain (via `POST /v1/shutdown` or
+//! The queue holds at most `queue_capacity` jobs and shards; a submit
+//! against a full queue is rejected with `429` and `Retry-After: 1` —
+//! jobs are never silently dropped. A drain (via `POST /v1/shutdown` or
 //! [`ServerHandle::shutdown`]) stops new submissions with `503`, lets
-//! the workers finish every queued and in-flight job, keeps read-only
-//! endpoints available meanwhile, and then closes the listener.
+//! the workers finish every queued and in-flight job, answers every
+//! parked request, keeps read-only endpoints available meanwhile, and
+//! then closes the listener.
 
 use std::collections::VecDeque;
 use std::io;
@@ -46,7 +53,10 @@ use soteria_rt::obs::{Metrics, Timer};
 
 use crate::error::SvcError;
 use crate::http::{method_not_allowed, ReadLimits, Request, Response};
-use crate::nio::{self, Plane};
+use crate::nio::{self, Plane, Reply, Wake};
+
+/// Seconds a `429` asks the client to wait (its `Retry-After` header).
+pub(crate) const RETRY_AFTER_SECS: u64 = 1;
 
 /// Tunables for [`Server::bind`]. The defaults suit tests and small
 /// deployments; `soteria serve` exposes them as flags.
@@ -54,10 +64,9 @@ use crate::nio::{self, Plane};
 pub struct ServerConfig {
     /// Campaign worker threads (each runs one job at a time).
     pub workers: usize,
-    /// Maximum queued (not yet running) jobs before submits get `429`.
+    /// Maximum queued (not yet running) jobs and shards before submits
+    /// get `429`.
     pub queue_capacity: usize,
-    /// Seconds suggested in the `Retry-After` header on `429`.
-    pub retry_after_secs: u64,
     /// Per-connection read timeout before a `408`.
     pub read_timeout: Duration,
     /// Size limits for request heads and bodies (`413` beyond them).
@@ -69,7 +78,6 @@ impl Default for ServerConfig {
         Self {
             workers: 2,
             queue_capacity: 8,
-            retry_after_secs: 1,
             read_timeout: Duration::from_secs(5),
             limits: ReadLimits::default(),
         }
@@ -77,9 +85,10 @@ impl Default for ServerConfig {
 }
 
 /// Where a job is in its lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum JobState {
     /// Accepted and waiting in the queue.
+    #[default]
     Queued,
     /// Claimed by a worker and executing.
     Running,
@@ -101,19 +110,26 @@ impl JobState {
     }
 }
 
+/// The artifact bytes `(result_json, ndjson)` [`run_spec`] emitted, or the panic.
+type Outcome = Result<(String, String), String>;
+
+#[derive(Default)]
 struct Job {
-    spec: JobSpec,
-    /// The block range of a `POST /v1/blocks` shard, whose result is the
-    /// range's partial document; `None` runs the whole job.
-    blocks: Option<Range<u64>>,
     state: JobState,
-    /// `(result_json, ndjson)` — the artifact bytes [`run_spec`] emitted.
-    output: Option<(String, String)>,
-    error: Option<String>,
+    outcome: Option<Outcome>,
+    /// Artifact requests parked until the job ends: `true` for the trace.
+    waiters: Vec<(bool, Reply)>,
+}
+
+/// A queued unit of work: a whole job and its id, or a `/v1/blocks` shard
+/// with its range and the parked request its partial answers.
+enum Work {
+    Job(JobSpec, usize),
+    Shard(JobSpec, Range<u64>, Reply),
 }
 
 struct State {
-    queue: VecDeque<usize>,
+    queue: VecDeque<Work>,
     jobs: Vec<Job>,
     in_flight: usize,
     draining: bool,
@@ -123,6 +139,7 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     job_ready: Condvar,
+    wake: Wake,
 }
 
 impl Shared {
@@ -134,6 +151,7 @@ impl Shared {
     fn begin_drain(&self) {
         self.state.lock().unwrap().draining = true;
         self.job_ready.notify_all();
+        self.wake.send(Vec::new());
     }
 }
 
@@ -162,9 +180,9 @@ impl ServerHandle {
             .map(|j| j.state)
     }
 
-    /// How many jobs have ever been accepted.
+    /// How many jobs and `/v1/blocks` shards have ever been accepted.
     pub fn job_count(&self) -> usize {
-        self.shared.state.lock().unwrap().jobs.len()
+        self.shared.state.lock().unwrap().metrics.counter("jobs_submitted") as usize
     }
 
     /// Jobs accepted but not yet claimed by a worker.
@@ -207,6 +225,7 @@ impl Server {
                     metrics: Metrics::enabled(),
                 }),
                 job_ready: Condvar::new(),
+                wake: Wake::new()?,
             }),
         })
     }
@@ -225,8 +244,8 @@ impl Server {
     }
 
     /// Runs the reactor and worker pool until a drain completes: every
-    /// accepted job reaches `done`/`failed`, every open connection
-    /// settles, then the listener closes and this returns.
+    /// accepted job reaches `done`/`failed`, every open connection (parked
+    /// ones answered) settles, then the listener closes and this returns.
     pub fn serve(self) {
         let shared = &*self.shared;
         let config = &self.config;
@@ -234,7 +253,13 @@ impl Server {
             for _ in 0..config.workers.max(1) {
                 s.spawn(move || worker_loop(shared));
             }
-            nio::event_loop(&self.listener, &config.limits, config.read_timeout, &self);
+            nio::event_loop(
+                &self.listener,
+                &config.limits,
+                config.read_timeout,
+                &shared.wake,
+                &self,
+            );
             // Also reached when the listener or poller failed: the
             // workers finish the queue, then leave their condvar.
             shared.begin_drain();
@@ -243,8 +268,8 @@ impl Server {
 }
 
 impl Plane for Server {
-    fn route(&self, req: &Request) -> Result<Response, SvcError> {
-        route(&self.shared, &self.config, req)
+    fn route(&self, req: &Request, later: Reply) -> Result<Option<Response>, SvcError> {
+        route(&self.shared, &self.config, req, later)
     }
 
     fn record(&self, path: &str, status: u16, timer: Timer) {
@@ -263,14 +288,15 @@ impl Plane for Server {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let (id, spec, blocks) = {
+        let work = {
             let mut st = shared.state.lock().unwrap();
             loop {
-                if let Some(id) = st.queue.pop_front() {
+                if let Some(work) = st.queue.pop_front() {
                     st.in_flight += 1;
-                    let job = &mut st.jobs[id];
-                    job.state = JobState::Running;
-                    break (id, job.spec.clone(), job.blocks.clone());
+                    if let Work::Job(_, id) = work {
+                        st.jobs[id].state = JobState::Running;
+                    }
+                    break work;
                 }
                 if st.draining {
                     return;
@@ -278,38 +304,50 @@ fn worker_loop(shared: &Shared) {
                 st = shared.job_ready.wait(st).unwrap();
             }
         };
-        // A shard's result is its partial document; partials carry their
-        // per-iteration records inline, so its trace is empty.
-        let outcome = catch_unwind(AssertUnwindSafe(|| match &blocks {
-            None => run_spec(&spec),
-            Some(r) => (
-                run_block_range(&spec, r.start, r.end).to_pretty_string(),
+        // A shard's partial is its `result`; partials carry their
+        // per-iteration records inline, so it has no trace.
+        let outcome: Outcome = catch_unwind(AssertUnwindSafe(|| match &work {
+            Work::Job(spec, _) => run_spec(spec),
+            Work::Shard(spec, r, _) => (
+                run_block_range(spec, r.start, r.end).to_pretty_string(),
                 String::new(),
             ),
-        }));
+        }))
+        .map_err(|panic| {
+            panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "job panicked".into())
+        });
         let mut st = shared.state.lock().unwrap();
         st.in_flight -= 1;
-        match outcome {
-            Ok(output) => {
-                st.jobs[id].output = Some(output);
-                st.jobs[id].state = JobState::Done;
-                st.metrics.inc("jobs_completed", 1);
+        let (tally, state) = match outcome {
+            Ok(_) => ("jobs_completed", JobState::Done),
+            Err(_) => ("jobs_failed", JobState::Failed),
+        };
+        st.metrics.inc(tally, 1);
+        let replies = match work {
+            Work::Shard(_, r, reply) => {
+                let what = format!("blocks {}..{}", r.start, r.end);
+                vec![(reply, artifact(&what, &outcome, false))]
             }
-            Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "job panicked".into());
-                st.jobs[id].error = Some(msg);
-                st.jobs[id].state = JobState::Failed;
-                st.metrics.inc("jobs_failed", 1);
+            Work::Job(_, id) => {
+                let job = &mut st.jobs[id];
+                job.state = state;
+                let what = format!("job {id}");
+                let replies = (job.waiters.drain(..))
+                    .map(|(trace, reply)| (reply, artifact(&what, &outcome, trace)))
+                    .collect();
+                job.outcome = Some(outcome);
+                replies
             }
-        }
+        };
         drop(st);
         // Wake peers: idle workers re-check the drain condition, and the
-        // accept loop's next poll sees `drained()`.
+        // reactor writes the replies and sees `drained()`.
         shared.job_ready.notify_all();
+        shared.wake.send(replies);
     }
 }
 
@@ -353,41 +391,53 @@ fn kind_latency_metric(path: &str) -> Option<&'static str> {
     Some(name.as_str())
 }
 
-fn route(shared: &Shared, config: &ServerConfig, req: &Request) -> Result<Response, SvcError> {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => Ok(Response::ok("text/plain; charset=utf-8", b"ok\n".to_vec())),
-        (_, "/healthz") => Err(method_not_allowed(req, "GET")),
-        ("GET", "/metrics") => Ok(metrics_response(shared)),
-        (_, "/metrics") => Err(method_not_allowed(req, "GET")),
-        ("POST", "/v1/blocks") => submit_job(shared, config, req, None),
-        (_, "/v1/blocks") => Err(method_not_allowed(req, "POST")),
+/// Routes one request: `Ok(None)` parks it, `later` kept until the work
+/// it waits on ends.
+fn route(
+    shared: &Shared,
+    config: &ServerConfig,
+    req: &Request,
+    later: Reply,
+) -> Result<Option<Response>, SvcError> {
+    let response = match (req.method.as_str(), req.path.as_str()) {
+        ("GET", "/healthz") => Response::ok("text/plain; charset=utf-8", b"ok\n".to_vec()),
+        (_, "/healthz") => return Err(method_not_allowed(req, "GET")),
+        ("GET", "/metrics") => metrics_response(shared),
+        (_, "/metrics") => return Err(method_not_allowed(req, "GET")),
+        ("POST", "/v1/blocks") => return submit(shared, config, req, None, later),
+        (_, "/v1/blocks") => return Err(method_not_allowed(req, "POST")),
         ("POST", "/v1/shutdown") => {
             shared.begin_drain();
-            Ok(Response::json(
+            Response::json(
                 202,
                 "Accepted",
                 Json::Obj(vec![("status".into(), Json::Str("draining".into()))]),
-            ))
+            )
         }
-        (_, "/v1/shutdown") => Err(method_not_allowed(req, "POST")),
-        ("GET", path) if path.starts_with("/v1/jobs/") => job_endpoint(shared, path),
-        (_, path) if path.starts_with("/v1/jobs/") => Err(method_not_allowed(req, "GET")),
+        (_, "/v1/shutdown") => return Err(method_not_allowed(req, "POST")),
+        ("GET", path) if path.starts_with("/v1/jobs/") => return job_endpoint(shared, path, later),
+        (_, path) if path.starts_with("/v1/jobs/") => return Err(method_not_allowed(req, "GET")),
         (method, path) => match KINDS.iter().find(|kind| kind.route == path) {
-            Some(kind) if method == "POST" => submit_job(shared, config, req, Some(kind)),
-            Some(_) => Err(method_not_allowed(req, "POST")),
-            None => Err(SvcError::NotFound(format!("no route for '{path}'"))),
+            Some(kind) if method == "POST" => {
+                return submit(shared, config, req, Some(kind), later)
+            }
+            Some(_) => return Err(method_not_allowed(req, "POST")),
+            None => return Err(SvcError::NotFound(format!("no route for '{path}'"))),
         },
-    }
+    };
+    Ok(Some(response))
 }
 
-/// Queues the job a POST body describes: a whole job of `kind`, or, with
-/// no kind, a `/v1/blocks` shard of any kind.
-fn submit_job(
+/// Queues the work a POST body describes: a whole job of `kind`, answered
+/// `202` with its id, or, with no kind, a `/v1/blocks` shard of any kind,
+/// parked on `later` until its partial is ready.
+fn submit(
     shared: &Shared,
     config: &ServerConfig,
     req: &Request,
     kind: Option<&Kind>,
-) -> Result<Response, SvcError> {
+    later: Reply,
+) -> Result<Option<Response>, SvcError> {
     let label = kind.map_or("blocks", |k| k.name);
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| SvcError::BadRequest(format!("{label} config must be UTF-8 JSON")))?;
@@ -398,9 +448,9 @@ fn submit_job(
     }
     let body = Json::parse(text)
         .map_err(|e| SvcError::BadRequest(format!("config is not valid JSON: {e}")))?;
-    let (spec, blocks) = match kind {
-        Some(kind) => (kind.parse)(&body).map(|spec| (spec, None)),
-        None => blocks_spec_from_json(&body).map(|(spec, range)| (spec, Some(range))),
+    let mut work = match kind {
+        Some(kind) => (kind.parse)(&body).map(|spec| Work::Job(spec, 0)),
+        None => blocks_spec_from_json(&body).map(|(spec, r)| Work::Shard(spec, r, later)),
     }
     .map_err(SvcError::BadRequest)?;
     let mut st = shared.state.lock().unwrap();
@@ -408,25 +458,27 @@ fn submit_job(
         return Err(SvcError::Draining);
     }
     if st.queue.len() >= config.queue_capacity {
-        return Err(SvcError::QueueFull {
-            retry_after_secs: config.retry_after_secs,
-        });
+        return Err(SvcError::QueueFull);
     }
-    let id = st.jobs.len();
-    st.jobs.push(Job {
-        spec,
-        blocks,
-        state: JobState::Queued,
-        output: None,
-        error: None,
-    });
-    st.queue.push_back(id);
+    // A job's id is its index, taken under the lock.
+    let id = match &mut work {
+        Work::Job(_, id) => {
+            *id = st.jobs.len();
+            st.jobs.push(Job::default());
+            Some(*id)
+        }
+        Work::Shard(..) => None,
+    };
+    st.queue.push_back(work);
     let depth = st.queue.len() as u64;
     st.metrics.inc("jobs_submitted", 1);
     st.metrics.observe("queue_depth_at_submit", depth);
     drop(st);
     shared.job_ready.notify_one();
-    Ok(Response::json(
+    let Some(id) = id else {
+        return Ok(None);
+    };
+    Ok(Some(Response::json(
         202,
         "Accepted",
         Json::Obj(vec![
@@ -435,10 +487,11 @@ fn submit_job(
             ("result".into(), Json::Str(format!("/v1/jobs/{id}/result"))),
             ("trace".into(), Json::Str(format!("/v1/jobs/{id}/trace"))),
         ]),
-    ))
+    )))
 }
 
-fn job_endpoint(shared: &Shared, path: &str) -> Result<Response, SvcError> {
+/// A job's status, or an artifact, parked on `later` until the job ends.
+fn job_endpoint(shared: &Shared, path: &str, later: Reply) -> Result<Option<Response>, SvcError> {
     let rest = &path["/v1/jobs/".len()..];
     let (id_text, tail) = match rest.split_once('/') {
         Some((id, tail)) => (id, Some(tail)),
@@ -447,10 +500,10 @@ fn job_endpoint(shared: &Shared, path: &str) -> Result<Response, SvcError> {
     let id: usize = id_text.parse().map_err(|_| {
         SvcError::BadRequest(format!("job id must be a non-negative integer, got '{id_text}'"))
     })?;
-    let st = shared.state.lock().unwrap();
+    let mut st = shared.state.lock().unwrap();
     let job = st
         .jobs
-        .get(id)
+        .get_mut(id)
         .ok_or_else(|| SvcError::NotFound(format!("job {id}")))?;
     match tail {
         None => {
@@ -458,31 +511,35 @@ fn job_endpoint(shared: &Shared, path: &str) -> Result<Response, SvcError> {
                 ("job".into(), Json::Num(id as f64)),
                 ("status".into(), Json::Str(job.state.as_str().into())),
             ];
-            if let Some(err) = &job.error {
+            if let Some(Err(err)) = &job.outcome {
                 fields.push(("error".into(), Json::Str(err.clone())));
             }
-            Ok(Response::json(200, "OK", Json::Obj(fields)))
+            Ok(Some(Response::json(200, "OK", Json::Obj(fields))))
         }
-        Some(artifact @ ("result" | "trace")) => {
-            let output = job.output.as_ref().ok_or_else(|| {
-                SvcError::NotFound(format!(
-                    "job {id} has no {artifact} yet (status: {})",
-                    job.state.as_str()
-                ))
-            })?;
-            // Served bytes come verbatim from `run_spec`, so they match
-            // what `soteria campaign`/`soteria compare` write to disk.
-            let (result_json, ndjson) = output;
-            Ok(if artifact == "result" {
-                Response::ok("application/json", result_json.clone().into_bytes())
-            } else {
-                Response::ok("application/x-ndjson", ndjson.clone().into_bytes())
-            })
-        }
+        Some(name @ ("result" | "trace")) => match &job.outcome {
+            Some(outcome) => artifact(&format!("job {id}"), outcome, name == "trace").map(Some),
+            None => {
+                job.waiters.push((name == "trace", later));
+                Ok(None)
+            }
+        },
         Some(other) => Err(SvcError::NotFound(format!(
             "job {id} has no artifact '{other}' (use result or trace)"
         ))),
     }
+}
+
+/// The answer to a `result` (`trace`: NDJSON) request once `what` ended:
+/// the bytes `run_spec` emitted, as `soteria campaign`/`compare` write
+/// them, or a `500` naming the panic.
+fn artifact(what: &str, outcome: &Outcome, trace: bool) -> Result<Response, SvcError> {
+    let (result_json, ndjson) =
+        (outcome.as_ref()).map_err(|msg| SvcError::JobFailed(format!("{what} failed: {msg}")))?;
+    Ok(if trace {
+        Response::ok("application/x-ndjson", ndjson.clone().into_bytes())
+    } else {
+        Response::ok("application/json", result_json.clone().into_bytes())
+    })
 }
 
 fn metrics_response(shared: &Shared) -> Response {

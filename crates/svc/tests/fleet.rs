@@ -2,9 +2,9 @@
 //! worker servers must merge to **byte-identical** artifacts vs a
 //! single-node run at the same seed — for every job kind, for any
 //! worker count, and across worker failures (a registered-but-dead
-//! address and a live worker killed mid-campaign). The coordinator's
-//! control plane answers with pinned bytes and keeps serving while a
-//! client stalls mid-request.
+//! address, a worker that drops its lease unanswered, and one that never
+//! answers). The coordinator's control plane answers with pinned bytes
+//! and keeps serving while a client stalls mid-request.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -15,6 +15,7 @@ use soteria_faultsim::{
     compare_config_from_json, config_from_json, crashck_config_from_json, run_spec, JobSpec,
 };
 use soteria_rt::json::Json;
+use soteria_svc::client::ClientConfig;
 use soteria_svc::{fleet, Coordinator, FleetConfig, Server, ServerConfig, ServerHandle};
 
 /// Boots a worker server on an ephemeral port.
@@ -37,7 +38,6 @@ fn fast_fleet_config(min_workers: usize, chunk_blocks: u64) -> FleetConfig {
         min_workers,
         register_timeout: Duration::from_secs(10),
         chunk_blocks,
-        poll_interval: Duration::from_millis(10),
         rpc_attempts: 2,
         rpc_backoff: Duration::from_millis(20),
         ..FleetConfig::default()
@@ -51,7 +51,6 @@ fn run_fleet(
     config_body: &Json,
     worker_addrs: &[SocketAddr],
     config: FleetConfig,
-    kill_mid_run: Option<ServerHandle>,
 ) -> (String, String) {
     let coordinator =
         Coordinator::bind("127.0.0.1:0", config).expect("bind coordinator control plane");
@@ -70,10 +69,6 @@ fn run_fleet(
         .expect("register worker");
         assert!(id < worker_addrs.len(), "worker ids are dense");
     }
-    if let Some(handle) = kill_mid_run {
-        thread::sleep(Duration::from_millis(40));
-        handle.shutdown();
-    }
     run.join()
         .expect("coordinator thread")
         .expect("fleet run must converge")
@@ -86,8 +81,16 @@ fn fleet_campaign_is_byte_identical_to_single_node() {
 
     let workers: Vec<_> = (0..3).map(|_| boot_worker()).collect();
     let addrs: Vec<_> = workers.iter().map(|(a, _, _)| *a).collect();
-    let got = run_fleet("campaign", &body, &addrs, fast_fleet_config(3, 1), None);
+    let got = run_fleet("campaign", &body, &addrs, fast_fleet_config(3, 1));
     assert_eq!(got, expected, "3-worker campaign merge must match single-node bytes");
+    // Shards are answered, never kept as jobs.
+    for addr in &addrs {
+        let metrics = soteria_svc::client::get(addr, "/metrics").unwrap().text();
+        assert!(
+            metrics.contains("\nsoteria_svc_jobs_total 0\n"),
+            "{metrics}"
+        );
+    }
 
     for (_, handle, join) in workers {
         handle.shutdown();
@@ -108,9 +111,9 @@ fn fleet_compare_and_crashck_are_byte_identical_to_single_node() {
 
     let workers: Vec<_> = (0..2).map(|_| boot_worker()).collect();
     let addrs: Vec<_> = workers.iter().map(|(a, _, _)| *a).collect();
-    let got_compare = run_fleet("compare", &compare_body, &addrs, fast_fleet_config(2, 1), None);
+    let got_compare = run_fleet("compare", &compare_body, &addrs, fast_fleet_config(2, 1));
     assert_eq!(got_compare, expected_compare, "compare merge must match single-node bytes");
-    let got_crashck = run_fleet("crashck", &crashck_body, &addrs, fast_fleet_config(2, 4), None);
+    let got_crashck = run_fleet("crashck", &crashck_body, &addrs, fast_fleet_config(2, 4));
     assert_eq!(got_crashck, expected_crashck, "crashck merge must match single-node bytes");
 
     for (_, handle, join) in workers {
@@ -119,28 +122,74 @@ fn fleet_compare_and_crashck_are_byte_identical_to_single_node() {
     }
 }
 
-/// The resilience scenario: one registered worker is a dead address
-/// (fails on first lease, deterministically exercising reassignment)
-/// and one live worker is killed mid-campaign. The surviving workers
-/// absorb the reassigned blocks and the merge still lands on the exact
-/// single-node bytes.
+/// A worker that died mid-lease: it accepts each lease and closes the
+/// connection unanswered, until a connection sends `STOP`. The thread
+/// returns how many leases it dropped.
+fn closing_worker() -> (SocketAddr, thread::JoinHandle<usize>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind closing stub");
+    let addr = listener.local_addr().expect("closing stub addr");
+    let join = thread::spawn(move || {
+        let mut dropped = 0;
+        for mut stream in listener.incoming().flatten() {
+            let mut head = [0u8; 64];
+            let n = stream.read(&mut head).unwrap_or(0);
+            if head[..n].starts_with(b"STOP") {
+                break;
+            }
+            dropped += 1;
+        }
+        dropped
+    });
+    (addr, join)
+}
+
+/// The resilience scenario, with every failure in place before the run
+/// starts: one registered worker is a dead address (refused), one drops
+/// each lease unanswered, and one accepts leases but never answers (a
+/// hung worker; its listener is never accepted from, and the 200 ms read
+/// timeout declares it dead). The three live workers absorb the
+/// reassigned blocks, the merge lands on the exact single-node bytes, and
+/// `run` returns.
 #[test]
-fn fleet_survives_dead_and_killed_workers_with_identical_bytes() {
-    let body =
-        Json::parse(r#"{"fit": 1500, "iterations": 1536, "threads": 1, "seed": 77}"#).unwrap();
+fn fleet_survives_dead_closing_and_hung_workers_with_identical_bytes() {
+    let body = Json::parse(
+        r#"{"fit": 1500, "iterations": 1536, "capacity_bytes": 67108864,
+            "threads": 1, "seed": 77}"#,
+    )
+    .unwrap();
     let expected = run_spec(&JobSpec::Campaign(config_from_json(&body).unwrap()));
 
     let workers: Vec<_> = (0..3).map(|_| boot_worker()).collect();
+    let hung = TcpListener::bind("127.0.0.1:0").expect("bind hung stub");
+    let (closing, closing_join) = closing_worker();
     let mut addrs: Vec<_> = workers.iter().map(|(a, _, _)| *a).collect();
-    addrs.push(dead_addr());
-    let victim = workers[0].1.clone();
-    let got = run_fleet("campaign", &body, &addrs, fast_fleet_config(4, 2), Some(victim));
+    addrs.extend([dead_addr(), closing, hung.local_addr().unwrap()]);
+    let config = FleetConfig {
+        client: ClientConfig {
+            connect_timeout: Duration::from_secs(2),
+            read_timeout: Duration::from_millis(200),
+        },
+        ..fast_fleet_config(addrs.len(), 2)
+    };
+    let got = run_fleet("campaign", &body, &addrs, config);
     assert_eq!(
         got, expected,
-        "merge must match single-node bytes despite a dead and a killed worker"
+        "merge must match single-node bytes despite dead, closing and hung workers"
+    );
+    // Both stubs were leased to: the coordinator's connections wait in
+    // the hung stub's accept queue, and the closing stub dropped some.
+    hung.set_nonblocking(true).unwrap();
+    assert!(hung.accept().is_ok(), "the hung stub was never leased to");
+    TcpStream::connect(closing)
+        .unwrap()
+        .write_all(b"STOP")
+        .unwrap();
+    assert!(
+        closing_join.join().unwrap() > 0,
+        "the closing stub was never leased to"
     );
 
-    for (_, handle, join) in workers.into_iter().skip(1) {
+    for (_, handle, join) in workers {
         handle.shutdown();
         join.join().unwrap();
     }

@@ -1,13 +1,18 @@
 //! End-to-end tests for the campaign service: backpressure under a
 //! concurrent burst, graceful drain, HTTP-vs-CLI byte identity, pinned
-//! error strings, and a parse of the Prometheus exposition.
+//! error strings, a parse of the Prometheus exposition, and the requests
+//! answered when their work ends (`/v1/blocks` shards and artifact
+//! requests for running jobs).
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use soteria_faultsim::job::KINDS;
-use soteria_faultsim::{compare_config_from_json, config_from_json, run_compare, run_job, run_spec};
+use soteria_faultsim::{
+    blocks_spec_from_json, compare_config_from_json, config_from_json, run_block_range,
+    run_compare, run_job, run_spec,
+};
 use soteria_rt::json::Json;
 use soteria_svc::{client, submit_burst, JobState, Server, ServerConfig, ServerHandle};
 
@@ -440,4 +445,158 @@ fn every_kind_submits_on_its_table_route() {
     }
     handle.shutdown();
     join.join().expect("serve thread");
+}
+
+/// A `/v1/blocks` body for blocks `lo..hi` of a small campaign.
+fn shard_body(lo: u64, hi: u64) -> Json {
+    Json::parse(&format!(
+        r#"{{"kind": "campaign", "lo": {lo}, "hi": {hi},
+            "config": {{"fit": 1500, "iterations": 256, "capacity_bytes": 67108864,
+                        "seed": "0x5eed", "threads": 1}}}}"#
+    ))
+    .unwrap()
+}
+
+/// The value of an unlabelled `/metrics` series.
+fn metric(addr: SocketAddr, series: &str) -> String {
+    let text = client::get(addr, "/metrics").unwrap().text();
+    let prefix = format!("{series} ");
+    text.lines()
+        .find_map(|line| line.strip_prefix(&prefix))
+        .unwrap_or_else(|| panic!("missing series {series} in:\n{text}"))
+        .to_string()
+}
+
+/// A shard is one request: the `200` answer is the range's partial
+/// document, byte for byte, and the server keeps no job for it (no id to
+/// fetch, `jobs_total` 0) while `job_count` still counts it.
+#[test]
+fn a_shard_is_answered_with_its_partial_and_retained_nowhere() {
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    let body = shard_body(1, 3);
+    let resp = client::post_json(addr, "/v1/blocks", &body).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.text());
+    assert_eq!(resp.header("content-type"), Some("application/json"));
+    let (spec, range) = blocks_spec_from_json(&body).unwrap();
+    let expected = run_block_range(&spec, range.start, range.end).to_pretty_string();
+    assert_eq!(resp.body, expected.as_bytes(), "partial bytes");
+
+    assert_eq!(client::get(addr, "/v1/jobs/0").unwrap().status, 404);
+    assert_eq!(metric(addr, "soteria_svc_jobs_total"), "0");
+    assert_eq!(handle.job_count(), 1);
+
+    handle.shutdown();
+    join.join().expect("serve thread");
+}
+
+/// A shard meets the same admission as a job: `429` with `Retry-After: 1`
+/// against a full queue, `503` once a drain has begun.
+#[test]
+fn shards_are_shed_when_the_queue_is_full_and_refused_while_draining() {
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        ..ServerConfig::default()
+    });
+    // One job running, one queued: the queue is full.
+    let submit = || client::post_json(addr, "/v1/campaigns", &slow_campaign()).unwrap();
+    assert_eq!(submit().status, 202);
+    wait_until("a worker to claim job 0", Duration::from_secs(10), || {
+        handle.job_state(0) == Some(JobState::Running)
+    });
+    assert_eq!(submit().status, 202);
+    let shed = client::post_json(addr, "/v1/blocks", &shard_body(0, 1)).unwrap();
+    assert_eq!(shed.status, 429);
+    assert_eq!(shed.header("retry-after"), Some("1"));
+    assert_eq!(
+        shed.json().unwrap().get("error").unwrap().as_str().unwrap(),
+        "job queue is full; retry after 1s (see Retry-After)"
+    );
+
+    handle.shutdown();
+    let refused = client::post_json(addr, "/v1/blocks", &shard_body(0, 1)).unwrap();
+    assert_eq!(refused.status, 503);
+    join.join().expect("serve thread");
+}
+
+/// An artifact request for a running job waits for it and gets exactly
+/// the bytes a request sent after the job ended gets.
+#[test]
+fn artifact_requests_for_a_running_job_are_answered_when_it_ends() {
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    assert_eq!(
+        client::post_json(addr, "/v1/campaigns", &slow_campaign())
+            .unwrap()
+            .status,
+        202
+    );
+    wait_until("a worker to claim job 0", Duration::from_secs(10), || {
+        handle.job_state(0) == Some(JobState::Running)
+    });
+    let early: Vec<_> = ["result", "trace"]
+        .map(|artifact| {
+            std::thread::spawn(move || {
+                client::get(addr, &format!("/v1/jobs/0/{artifact}")).unwrap()
+            })
+        })
+        .into_iter()
+        .map(|t| t.join().expect("artifact request"))
+        .collect();
+    assert_eq!(handle.job_state(0), Some(JobState::Done));
+    for (early, artifact) in early.iter().zip(["result", "trace"]) {
+        let late = client::get(addr, &format!("/v1/jobs/0/{artifact}")).unwrap();
+        assert_eq!(early.status, 200, "{artifact}: {}", early.text());
+        assert_eq!(late.status, 200, "{artifact}");
+        assert_eq!(early.header("content-type"), late.header("content-type"));
+        assert_eq!(early.body, late.body, "{artifact} bytes");
+    }
+    let expected = run_job(&config_from_json(&slow_campaign()).unwrap());
+    assert_eq!(early[0].body, expected.result_json.as_bytes());
+
+    handle.shutdown();
+    join.join().expect("serve thread");
+}
+
+/// A drain finishes the job a parked request waits on and answers that
+/// request before `serve` returns.
+#[test]
+fn a_request_parked_when_a_drain_starts_is_answered_before_serve_returns() {
+    let (addr, handle, join) = boot(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
+    assert_eq!(
+        client::post_json(addr, "/v1/campaigns", &slow_campaign())
+            .unwrap()
+            .status,
+        202
+    );
+    wait_until("a worker to claim job 0", Duration::from_secs(10), || {
+        handle.job_state(0) == Some(JobState::Running)
+    });
+    let mut parked = TcpStream::connect(addr).unwrap();
+    parked
+        .write_all(b"GET /v1/jobs/0/result HTTP/1.1\r\n\r\n")
+        .unwrap();
+    // One round trip on another connection, so the reactor has read the
+    // parked request before the drain begins.
+    assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
+    handle.shutdown();
+    join.join().expect("serve thread");
+
+    let mut raw = Vec::new();
+    parked.read_to_end(&mut raw).unwrap();
+    let expected = run_job(&config_from_json(&slow_campaign()).unwrap());
+    let text = String::from_utf8(raw).unwrap();
+    assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "got: {text}");
+    assert!(
+        text.ends_with(&expected.result_json),
+        "the parked answer is the result"
+    );
 }
