@@ -425,10 +425,11 @@ mod poll {
                 p.revents = 0;
             }
             loop {
+                let (fds, nfds) = (self.fds.as_mut_ptr(), self.fds.len());
                 // SAFETY: `fds` is a live, contiguous buffer of PollFd
                 // and `nfds` is exactly its length; the kernel writes
                 // only the `revents` fields within bounds.
-                let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len(), timeout_ms(timeout)) };
+                let rc = unsafe { poll(fds, nfds, timeout_ms(timeout)) };
                 if rc >= 0 {
                     break;
                 }
