@@ -52,7 +52,9 @@ fn bench_crypto(c: &mut Harness) {
     c.bench_function("aes_ctr_encrypt_line_ref", |b| {
         b.iter(|| cipher.encrypt_line_reference(black_box(&line), black_box(0x40), black_box(7)))
     });
-    c.bench_function("sha256_64B", |b| b.iter(|| Sha256::digest(black_box(&line))));
+    c.bench_function("sha256_64B", |b| {
+        b.iter(|| Sha256::digest(black_box(&line)))
+    });
     c.bench_function("sha256_64B_ref", |b| {
         b.iter(|| Sha256::digest_portable(black_box(&line)))
     });
@@ -390,10 +392,7 @@ fn results_to_json(stats: &[Stats]) -> Json {
             .iter()
             .filter_map(|s| {
                 let reference = stats.iter().find(|r| r.name == format!("{}_ref", s.name))?;
-                Some((
-                    s.name.clone(),
-                    Json::Num(reference.median_ns / s.median_ns),
-                ))
+                Some((s.name.clone(), Json::Num(reference.median_ns / s.median_ns)))
             })
             .collect(),
     );

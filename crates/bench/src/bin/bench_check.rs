@@ -77,7 +77,11 @@ fn run(fresh_path: &str, baseline_path: &str) -> Result<(), String> {
             continue;
         };
         let ratio = now.median_ns / base.median_ns;
-        let flag = if ratio > max_regression { "  REGRESSED" } else { "" };
+        let flag = if ratio > max_regression {
+            "  REGRESSED"
+        } else {
+            ""
+        };
         println!(
             "{:<38} {:>14.1} {:>14.1} {:>7.2}x{flag}",
             base.name, base.median_ns, now.median_ns, ratio

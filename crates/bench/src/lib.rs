@@ -70,17 +70,14 @@ pub fn run_performance_suite(ops: u64, footprint: u64, capacity: u64) -> Vec<Vec
             jobs.push((w, p));
         }
     }
-    let results: Vec<(usize, usize, RunResult)> = soteria_rt::thread::parallel_map(
-        jobs,
-        soteria_rt::thread::default_threads(),
-        |(w, p)| {
+    let results: Vec<(usize, usize, RunResult)> =
+        soteria_rt::thread::parallel_map(jobs, soteria_rt::thread::default_threads(), |(w, p)| {
             let mut workloads = standard_suite(&suite_config);
             let workload = &mut workloads[w];
             let mut system = System::new(SystemConfig::table3(policies[p].clone(), capacity));
             let result = system.run(workload.as_mut(), ops);
             (w, p, result)
-        },
-    );
+        });
 
     let mut grouped: Vec<Vec<Option<RunResult>>> = vec![vec![None, None, None]; names.len()];
     for (w, p, r) in results {

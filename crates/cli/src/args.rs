@@ -181,10 +181,7 @@ mod tests {
             value: "banana".into(),
             expected: "u64",
         };
-        assert_eq!(
-            bad.to_string(),
-            "option --ops: 'banana' is not a valid u64"
-        );
+        assert_eq!(bad.to_string(), "option --ops: 'banana' is not a valid u64");
         let positional = ArgsError::UnexpectedPositional("extra".into());
         assert_eq!(
             positional.to_string(),

@@ -28,11 +28,11 @@ use soteria::analysis::ExpectedLossModel;
 use soteria::clone::CloningPolicy;
 use soteria::recovery::recover;
 use soteria::{DataAddr, SecureMemoryConfig, SecureMemoryController};
+use soteria_faultsim::job::{parse_ecc, parse_tree};
 use soteria_faultsim::{
     cluster_mtbf_hours, estimate_clone_udr, report_json, run_campaign_traced, run_compare,
     run_crashck, CampaignConfig, CompareConfig, CrashckConfig, JobSpec, STANDARD_POLICIES,
 };
-use soteria_faultsim::job::{parse_ecc, parse_tree};
 use soteria_rt::json::Json;
 use soteria_simcpu::{System, SystemConfig};
 use soteria_svc::client::{self, ClientConfig};
@@ -50,17 +50,41 @@ const COMMANDS: &[(&str, &str)] = &[
     ("info", "print configurations and layout math"),
     ("perf", "run a workload through the simulated system"),
     ("campaign", "Monte Carlo fault campaign (FaultSim-style)"),
-    ("compare", "sweep every protection scheme: UDR + slowdown matrix"),
+    (
+        "compare",
+        "sweep every protection scheme: UDR + slowdown matrix",
+    ),
     ("rare", "rare-event clone-UDR estimate"),
     ("record", "capture a workload's memory trace to a file"),
-    ("crash-demo", "write, crash, optionally break metadata, recover"),
-    ("crashck", "exhaustive crash-point consistency sweep (WPQ/ADR)"),
-    ("trace-validate", "check an NDJSON trace for shape & ordering"),
-    ("serve", "run the campaign service (HTTP API over a job queue)"),
-    ("submit", "send a campaign to a server and fetch its artifacts"),
+    (
+        "crash-demo",
+        "write, crash, optionally break metadata, recover",
+    ),
+    (
+        "crashck",
+        "exhaustive crash-point consistency sweep (WPQ/ADR)",
+    ),
+    (
+        "trace-validate",
+        "check an NDJSON trace for shape & ordering",
+    ),
+    (
+        "serve",
+        "run the campaign service (HTTP API over a job queue)",
+    ),
+    (
+        "submit",
+        "send a campaign to a server and fetch its artifacts",
+    ),
     ("http", "one-shot HTTP request against a running server"),
-    ("loadgen", "concurrent submission burst to exercise backpressure"),
-    ("coordinate", "shard a job across fleet workers, merge identical bytes"),
+    (
+        "loadgen",
+        "concurrent submission burst to exercise backpressure",
+    ),
+    (
+        "coordinate",
+        "shard a job across fleet workers, merge identical bytes",
+    ),
     ("worker", "serve jobs and register with a fleet coordinator"),
     ("help", "show this command listing"),
 ];
@@ -418,8 +442,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
         println!("compare matrix to {path}");
     }
     if let Some(path) = args.get("ndjson") {
-        std::fs::write(path, &out.ndjson)
-            .map_err(|e| format!("writing ndjson '{path}': {e}"))?;
+        std::fs::write(path, &out.ndjson).map_err(|e| format!("writing ndjson '{path}': {e}"))?;
         println!("per-iteration records to {path}");
     }
     Ok(())
@@ -569,8 +592,7 @@ fn cmd_crashck(args: &Args) -> Result<(), String> {
         println!("report to {path}");
     }
     if let Some(path) = args.get("ndjson") {
-        std::fs::write(path, &out.ndjson)
-            .map_err(|e| format!("writing ndjson '{path}': {e}"))?;
+        std::fs::write(path, &out.ndjson).map_err(|e| format!("writing ndjson '{path}': {e}"))?;
         println!("sweep records to {path}");
     }
     if out.divergences.is_empty() {
@@ -590,11 +612,8 @@ fn cmd_crashck(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_trace_validate(args: &Args) -> Result<(), String> {
-    let path = args
-        .get("file")
-        .ok_or("trace-validate needs --file PATH")?;
-    let text =
-        std::fs::read_to_string(path).map_err(|e| format!("reading '{path}': {e}"))?;
+    let path = args.get("file").ok_or("trace-validate needs --file PATH")?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading '{path}': {e}"))?;
     let events = soteria_rt::obs::parse_ndjson(&text).map_err(|e| format!("{path}: {e}"))?;
     let mut domains: Vec<(&str, u64)> = Vec::new();
     for ev in &events {
@@ -604,7 +623,10 @@ fn cmd_trace_validate(args: &Args) -> Result<(), String> {
             None => domains.push((d, 1)),
         }
     }
-    println!("{path}: {} events, valid NDJSON, per-domain seq monotonic", events.len());
+    println!(
+        "{path}: {} events, valid NDJSON, per-domain seq monotonic",
+        events.len()
+    );
     for (d, c) in domains {
         println!("  {d:>10}: {c} events");
     }
@@ -622,7 +644,11 @@ fn parse_seed(s: &str) -> Result<u64, String> {
 
 /// One flag of a job body: the flag, its body field, and how the flag's
 /// text becomes the field's value (given the flag, to name it in errors).
-type BodyFlag = (&'static str, &'static str, fn(&str, &str) -> Result<Json, String>);
+type BodyFlag = (
+    &'static str,
+    &'static str,
+    fn(&str, &str) -> Result<Json, String>,
+);
 
 /// Per job kind, the flags that set its wire body. Flags the user leaves
 /// out stay out of the body, so the kind's own defaults apply, as for the
@@ -753,10 +779,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let (server, config) = bind_server(args, "127.0.0.1:7787")?;
     let (local, workers, queue) = (server.local_addr(), config.workers, config.queue_capacity);
     println!("soteria-svc listening on {local} ({workers} workers, queue capacity {queue})");
-    println!("POST /v1/shutdown (or `soteria http --method POST --path /v1/shutdown`) drains and exits");
+    println!(
+        "POST /v1/shutdown (or `soteria http --method POST --path /v1/shutdown`) drains and exits"
+    );
     let handle = server.handle();
     server.serve();
-    println!("drained: {} job(s) accepted over this run", handle.job_count());
+    println!(
+        "drained: {} job(s) accepted over this run",
+        handle.job_count()
+    );
     Ok(())
 }
 
@@ -805,8 +836,7 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         if trace.status != 200 {
             return Err(http_failure(&trace));
         }
-        std::fs::write(path, &trace.body)
-            .map_err(|e| format!("writing trace '{path}': {e}"))?;
+        std::fs::write(path, &trace.body).map_err(|e| format!("writing trace '{path}': {e}"))?;
         eprintln!("trace to {path}");
     }
     Ok(())
@@ -816,9 +846,7 @@ fn cmd_http(args: &Args) -> Result<(), String> {
     let addr = args.get_or("addr", "127.0.0.1:7787");
     let method = args.get_or("method", "GET");
     let path = args.get_or("path", "/healthz");
-    let body = args
-        .get("body")
-        .map(|b| ("application/json", b.as_bytes()));
+    let body = args.get("body").map(|b| ("application/json", b.as_bytes()));
     let resp = client::request(addr, method, path, body)
         .map_err(|e| format!("{method} {addr}{path}: {e}"))?;
     eprintln!("HTTP {} {}", resp.status, resp.reason);
@@ -935,15 +963,13 @@ fn cmd_coordinate(args: &Args) -> Result<(), String> {
     let (result, ndjson) = coordinator.run(&kind, &body)?;
     match args.get("out") {
         Some(path) => {
-            std::fs::write(path, &result)
-                .map_err(|e| format!("writing result '{path}': {e}"))?;
+            std::fs::write(path, &result).map_err(|e| format!("writing result '{path}': {e}"))?;
             eprintln!("merged result to {path}");
         }
         None => print!("{result}"),
     }
     if let Some(path) = args.get("ndjson") {
-        std::fs::write(path, &ndjson)
-            .map_err(|e| format!("writing ndjson '{path}': {e}"))?;
+        std::fs::write(path, &ndjson).map_err(|e| format!("writing ndjson '{path}': {e}"))?;
         eprintln!("merged ndjson to {path}");
     }
     Ok(())
@@ -974,7 +1000,10 @@ fn cmd_worker(args: &Args) -> Result<(), String> {
     });
     let handle = server.handle();
     server.serve();
-    println!("drained: {} job(s) accepted over this run", handle.job_count());
+    println!(
+        "drained: {} job(s) accepted over this run",
+        handle.job_count()
+    );
     Ok(())
 }
 
@@ -1007,8 +1036,7 @@ fn run() -> Result<(), String> {
                 .into_iter()
                 .find(|w| w.name() == name)
                 .ok_or_else(|| format!("unknown workload '{name}'"))?;
-            soteria_workloads::trace::record(w.as_mut(), ops, &out)
-                .map_err(|e| e.to_string())?;
+            soteria_workloads::trace::record(w.as_mut(), ops, &out).map_err(|e| e.to_string())?;
             println!("recorded {ops} ops of {name} to {out}");
             Ok(())
         }
@@ -1024,7 +1052,10 @@ fn run() -> Result<(), String> {
         Some("loadgen") => cmd_loadgen(&args),
         Some("coordinate") => cmd_coordinate(&args),
         Some("worker") => cmd_worker(&args),
-        Some(other) => Err(format!("unknown command '{other}'\n\n{}", command_listing())),
+        Some(other) => Err(format!(
+            "unknown command '{other}'\n\n{}",
+            command_listing()
+        )),
     }
 }
 
@@ -1053,7 +1084,10 @@ mod tests {
                 1,
                 "{name} must appear exactly once in the listing"
             );
-            assert!(text.contains(one_liner), "usage must carry {name}'s one-liner");
+            assert!(
+                text.contains(one_liner),
+                "usage must carry {name}'s one-liner"
+            );
         }
         let names: Vec<&str> = COMMANDS.iter().map(|(n, _)| *n).collect();
         let mut unique = names.clone();
@@ -1091,7 +1125,9 @@ mod tests {
         assert!(body.get("threads").is_none());
         // And bad values fail locally with the option name.
         let bad = Args::parse(["submit".into(), "--ecc".into(), "raid".into()]).unwrap();
-        assert!(job_body("campaign", &bad).unwrap_err().contains("unknown ecc 'raid'"));
+        assert!(job_body("campaign", &bad)
+            .unwrap_err()
+            .contains("unknown ecc 'raid'"));
         let bad = Args::parse(["submit".into(), "--fit".into(), "hot".into()]).unwrap();
         let err = job_body("campaign", &bad).unwrap_err();
         assert_eq!(err, "option --fit: 'hot' is not a valid number");
@@ -1141,7 +1177,10 @@ mod tests {
         )
         .unwrap();
         let body = job_body("crashck", &args).unwrap();
-        assert_eq!(body.get("scripts_per_cell").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(
+            body.get("scripts_per_cell").and_then(Json::as_f64),
+            Some(2.0)
+        );
         assert_eq!(body.get("max_txns").and_then(Json::as_f64), Some(4.0));
         assert_eq!(body.get("max_writes").and_then(Json::as_f64), Some(3.0));
         assert_eq!(body.get("threads").and_then(Json::as_f64), Some(2.0));

@@ -121,7 +121,11 @@ fn perf_runs_a_small_workload() {
         .args(["perf", "--workload", "queue", "--ops", "2000"])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("cycles"));
     assert!(text.contains("write breakdown"));
@@ -158,7 +162,11 @@ fn crash_demo_with_fault_recovers_under_src() {
         .args(["crash-demo", "--scheme", "src", "--fault"])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("clone repairs      : 1"), "{text}");
     assert!(text.contains("128 intact, 0 lost"), "{text}");
@@ -170,7 +178,11 @@ fn campaign_small_run_prints_schemes() {
         .args(["campaign", "--fit", "200", "--iters", "2000"])
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("Baseline"));
     assert!(text.contains("SAC"));
@@ -183,21 +195,45 @@ fn compare_small_run_emits_matrix_artifacts() {
     let json = dir.join(format!("cli_compare_{pid}.json"));
     let ndjson = dir.join(format!("cli_compare_{pid}.ndjson"));
     let out = soteria()
-        .args(["compare", "--iters", "64", "--ops", "256", "--threads", "2", "--json"])
+        .args([
+            "compare",
+            "--iters",
+            "64",
+            "--ops",
+            "256",
+            "--threads",
+            "2",
+            "--json",
+        ])
         .arg(&json)
         .arg("--ndjson")
         .arg(&ndjson)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let text = String::from_utf8_lossy(&out.stdout);
-    for scheme in ["baseline", "src", "sac", "osiris", "triad1", "phoenix", "coalesced"] {
+    for scheme in [
+        "baseline",
+        "src",
+        "sac",
+        "osiris",
+        "triad1",
+        "phoenix",
+        "coalesced",
+    ] {
         assert!(text.contains(scheme), "table must list {scheme}:\n{text}");
     }
     let report = std::fs::read_to_string(&json).expect("json artifact");
     assert!(report.contains("soteria-compare/v1"));
     let trace = std::fs::read_to_string(&ndjson).expect("ndjson artifact");
-    assert!(trace.lines().count() >= 10, "config + 9 scheme_result lines");
+    assert!(
+        trace.lines().count() >= 10,
+        "config + 9 scheme_result lines"
+    );
     std::fs::remove_file(&json).ok();
     std::fs::remove_file(&ndjson).ok();
 }
@@ -223,7 +259,16 @@ fn serve_submit_matches_campaign_bytes() {
     let path = |name: &str| dir.join(format!("cli_svc_{pid}_{name}"));
     let port_file = path("addr");
     let serve = soteria()
-        .args(["serve", "--addr", "127.0.0.1:0", "--workers", "1", "--queue", "4", "--port-file"])
+        .args([
+            "serve",
+            "--addr",
+            "127.0.0.1:0",
+            "--workers",
+            "1",
+            "--queue",
+            "4",
+            "--port-file",
+        ])
         .arg(&port_file)
         .stdout(std::process::Stdio::null())
         .spawn()
@@ -242,7 +287,14 @@ fn serve_submit_matches_campaign_bytes() {
     assert!(!addr.is_empty(), "server never wrote its port file");
 
     let campaign_flags = [
-        "--fit", "1500", "--iters", "300", "--capacity", "67108864", "--seed", "0xabc",
+        "--fit",
+        "1500",
+        "--iters",
+        "300",
+        "--capacity",
+        "67108864",
+        "--seed",
+        "0xabc",
     ];
     let out = soteria()
         .args(["submit", "--addr", &addr])
@@ -253,7 +305,11 @@ fn serve_submit_matches_campaign_bytes() {
         .arg(path("http.ndjson"))
         .output()
         .expect("spawn submit");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     let out = soteria()
         .arg("campaign")
@@ -264,20 +320,39 @@ fn serve_submit_matches_campaign_bytes() {
         .arg(path("cli.ndjson"))
         .output()
         .expect("spawn campaign");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     for name in ["json", "ndjson"] {
         let http = std::fs::read(path(&format!("http.{name}"))).expect("http artifact");
         let cli = std::fs::read(path(&format!("cli.{name}"))).expect("cli artifact");
         assert!(!http.is_empty());
-        assert_eq!(http, cli, "HTTP and CLI {name} artifacts must match byte-for-byte");
+        assert_eq!(
+            http, cli,
+            "HTTP and CLI {name} artifacts must match byte-for-byte"
+        );
     }
 
     let out = soteria()
-        .args(["http", "--addr", &addr, "--method", "POST", "--path", "/v1/shutdown"])
+        .args([
+            "http",
+            "--addr",
+            &addr,
+            "--method",
+            "POST",
+            "--path",
+            "/v1/shutdown",
+        ])
         .output()
         .expect("spawn http");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let status = serve.0.wait().expect("serve exits after drain");
     assert!(status.success(), "serve must exit cleanly after the drain");
 
@@ -307,7 +382,14 @@ fn coordinate_with_workers_matches_campaign_bytes() {
     };
 
     let campaign_flags = [
-        "--fit", "1500", "--iters", "192", "--capacity", "67108864", "--seed", "0xabc",
+        "--fit",
+        "1500",
+        "--iters",
+        "192",
+        "--capacity",
+        "67108864",
+        "--seed",
+        "0xabc",
     ];
     let coordinate = soteria()
         .args(["coordinate", "--kind", "campaign", "--addr", "127.0.0.1:0"])
@@ -349,16 +431,31 @@ fn coordinate_with_workers_matches_campaign_bytes() {
         .arg(path("cli.ndjson"))
         .output()
         .expect("spawn campaign");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     for name in ["json", "ndjson"] {
         let fleet = std::fs::read(path(&format!("fleet.{name}"))).expect("fleet artifact");
         let cli = std::fs::read(path(&format!("cli.{name}"))).expect("cli artifact");
         assert!(!fleet.is_empty());
-        assert_eq!(fleet, cli, "fleet and CLI {name} artifacts must match byte-for-byte");
+        assert_eq!(
+            fleet, cli,
+            "fleet and CLI {name} artifacts must match byte-for-byte"
+        );
     }
 
-    for name in ["control", "worker0", "worker1", "fleet.json", "fleet.ndjson", "cli.json", "cli.ndjson"] {
+    for name in [
+        "control",
+        "worker0",
+        "worker1",
+        "fleet.json",
+        "fleet.ndjson",
+        "cli.json",
+        "cli.ndjson",
+    ] {
         std::fs::remove_file(path(name)).ok();
     }
 }
@@ -371,13 +468,21 @@ fn record_then_replay_roundtrip() {
         .arg(&trace)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let out = soteria()
         .args(["perf", "--ops", "3000", "--trace"])
         .arg(&trace)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     assert!(String::from_utf8_lossy(&out.stdout).contains("trace:"));
     std::fs::remove_file(&trace).ok();
 }

@@ -648,7 +648,9 @@ impl<'a> ResilienceModel<'a> {
     /// Assesses one fault set under one policy.
     pub fn assess(&self, faults: &[FaultRecord], policy: &CloningPolicy) -> LossAssessment {
         // One policy in, one assessment out; the fallback is unreachable.
-        self.assess_many(faults, &[policy]).pop().unwrap_or_default()
+        self.assess_many(faults, &[policy])
+            .pop()
+            .unwrap_or_default()
     }
 
     /// `L_error`: lines of the data region inside any UE region. Regions
@@ -1801,13 +1803,21 @@ mod tests {
     }
 
     fn same_as_scan(engine: &LossAssessment, scan: &ScanAssessment, what: &str) -> CaseResult {
-        prop_assert_eq!(engine.error_data_lines, scan.error_data_lines, "{what}: L_error");
+        prop_assert_eq!(
+            engine.error_data_lines,
+            scan.error_data_lines,
+            "{what}: L_error"
+        );
         prop_assert_eq!(
             engine.unverifiable_data_lines,
             scan.unverifiable_data_lines,
             "{what}: L_unverifiable"
         );
-        prop_assert_eq!(engine.lost_meta_blocks(), scan.lost_meta_blocks, "{what}: lost blocks");
+        prop_assert_eq!(
+            engine.lost_meta_blocks(),
+            scan.lost_meta_blocks,
+            "{what}: lost blocks"
+        );
         for pair in engine.lost_meta_runs.windows(2) {
             let (a, b) = (pair[0], pair[1]);
             prop_assert!(
@@ -1843,8 +1853,10 @@ mod tests {
                 }
             }
         }
-        let config = Config::with_cases(cases)
-            .regressions(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/analysis.regressions"));
+        let config = Config::with_cases(cases).regressions(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/analysis.regressions"
+        ));
         let strategy = FaultSets {
             layout,
             geometry: &geometry,
@@ -1896,7 +1908,10 @@ mod tests {
         ];
         let refs: Vec<&CloningPolicy> = policies.iter().collect();
         for ((a, pin), policy) in model.assess_many(faults, &refs).iter().zip(pins).zip(&refs) {
-            let first = a.lost_meta_runs.first().map(|r| MetaId::new(r.level, r.first));
+            let first = a
+                .lost_meta_runs
+                .first()
+                .map(|r| MetaId::new(r.level, r.first));
             let last = a
                 .lost_meta_runs
                 .last()
@@ -1938,9 +1953,27 @@ mod tests {
         assert_pins(
             &seed_59,
             [
-                (50331649, 133562368, 600064, Some(l(1, 1024)), Some(l(4, 3071))),
-                (50331649, 73620096, 280401, Some(l(1, 1024)), Some(l(4, 1980))),
-                (50331649, 31358976, 275616, Some(l(1, 1024)), Some(l(2, 509884))),
+                (
+                    50331649,
+                    133562368,
+                    600064,
+                    Some(l(1, 1024)),
+                    Some(l(4, 3071)),
+                ),
+                (
+                    50331649,
+                    73620096,
+                    280401,
+                    Some(l(1, 1024)),
+                    Some(l(4, 1980)),
+                ),
+                (
+                    50331649,
+                    31358976,
+                    275616,
+                    Some(l(1, 1024)),
+                    Some(l(2, 509884)),
+                ),
             ],
         );
         // The same kind of set among the first 500 calls seeded

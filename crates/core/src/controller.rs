@@ -27,14 +27,14 @@
 use soteria_crypto::ctr::CounterModeCipher;
 use soteria_crypto::mac::MacEngine;
 use soteria_ecc::CorrectionOutcome;
-use soteria_rt::json::Json;
-use soteria_rt::obs::Obs;
-use soteria_rt::obs_fields;
 use soteria_nvm::device::NvmDimm;
 use soteria_nvm::geometry::DimmGeometry;
 use soteria_nvm::timing::{AccessKind, NvmTiming};
 use soteria_nvm::wpq::{AcceptOutcome, PendingWrite, WritePendingQueue};
 use soteria_nvm::LineAddr;
+use soteria_rt::json::Json;
+use soteria_rt::obs::Obs;
+use soteria_rt::obs_fields;
 
 use crate::config::{EccKind, Fidelity, SecureMemoryConfig};
 use crate::counter::{CounterBlock, MINOR_LIMIT};
@@ -361,17 +361,14 @@ impl SecureMemoryController {
         self.stats.nvm_writes += 1;
         self.stats.writes.record(category);
         let drains_before = self.wpq.drains();
-        self.wpq.push(
-            PendingWrite {
-                addr,
-                data,
-            },
-            &mut self.device,
-        );
+        self.wpq.push(PendingWrite { addr, data }, &mut self.device);
         self.note_wpq(drains_before);
     }
 
-    fn nvm_write_group(&mut self, writes: &mut Vec<(LineAddr, [u8; 64], WriteCategory)>) -> AcceptOutcome {
+    fn nvm_write_group(
+        &mut self,
+        writes: &mut Vec<(LineAddr, [u8; 64], WriteCategory)>,
+    ) -> AcceptOutcome {
         let mut group = std::mem::take(&mut self.scratch.group);
         group.clear();
         group.reserve(writes.len());
@@ -379,10 +376,7 @@ impl SecureMemoryController {
             self.trace.push((addr, AccessKind::Write));
             self.stats.nvm_writes += 1;
             self.stats.writes.record(category);
-            group.push(PendingWrite {
-                addr,
-                data,
-            });
+            group.push(PendingWrite { addr, data });
         }
         let drains_before = self.wpq.drains();
         let outcome = self
@@ -404,7 +398,9 @@ impl SecureMemoryController {
         if !self.obs.is_enabled() {
             return;
         }
-        self.obs.metrics.observe("wpq.occupancy", self.wpq.len() as u64);
+        self.obs
+            .metrics
+            .observe("wpq.occupancy", self.wpq.len() as u64);
         let drained = self.wpq.drains() - drains_before;
         if drained > 0 {
             let drains = self.wpq.drains();
@@ -535,9 +531,7 @@ impl SecureMemoryController {
             }
             [parent_counter, parent_counter + 1]
                 .into_iter()
-                .find(|&c| {
-                    mac.tree_node_mac(addr.byte_addr(), node.counters(), c) == node.mac()
-                })
+                .find(|&c| mac.tree_node_mac(addr.byte_addr(), node.counters(), c) == node.mac())
         }
     }
 
@@ -547,9 +541,11 @@ impl SecureMemoryController {
     fn repair_parent_counter(&mut self, meta: MetaId, counter: u64) {
         self.stats.forward_repairs += 1;
         self.obs.metrics.inc("ctl.forward_repairs", 1);
-        self.obs.trace.emit_with("ctl", "parent_forward_repair", || {
-            obs_fields![("level", meta.level), ("index", meta.index)]
-        });
+        self.obs
+            .trace
+            .emit_with("ctl", "parent_forward_repair", || {
+                obs_fields![("level", meta.level), ("index", meta.index)]
+            });
         let child_slot = self.layout.child_slot(meta);
         match self.layout.parent_of(meta) {
             None => {
@@ -1155,7 +1151,9 @@ impl SecureMemoryController {
                 stage_line(&mut staged, mac_line, bytes, WriteCategory::DataMac);
             }
             if let Some(job) = pending.take() {
-                let tag = self.data_mac_of(job.addr, &job.ciphertext, job.counter).max(1);
+                let tag = self
+                    .data_mac_of(job.addr, &job.ciphertext, job.counter)
+                    .max(1);
                 // The job's MAC line was staged in the iteration that
                 // created it, so the lookup always hits; patching in
                 // write order keeps last-write-wins on shared slots.
@@ -1174,7 +1172,9 @@ impl SecureMemoryController {
         }
         // Drain the pipeline: the last write's tag is still pending.
         if let Some(job) = pending.take() {
-            let tag = self.data_mac_of(job.addr, &job.ciphertext, job.counter).max(1);
+            let tag = self
+                .data_mac_of(job.addr, &job.ciphertext, job.counter)
+                .max(1);
             if let Some((_, bytes, _)) = staged.iter_mut().find(|(a, _, _)| *a == job.mac_line) {
                 bytes[job.off..job.off + 8].copy_from_slice(&tag.to_le_bytes());
             }
@@ -1324,8 +1324,7 @@ impl SecureMemoryController {
         let slot = self.layout.counter_slot_of(addr);
         self.fetch_meta(leaf, &mut pinned)?;
         let leaf_addr = self.layout.meta_addr(leaf);
-        let counter =
-            CounterBlock::from_bytes(&self.resident(leaf_addr).data).counter(slot);
+        let counter = CounterBlock::from_bytes(&self.resident(leaf_addr).data).counter(slot);
 
         let line_addr = self.layout.data_line_addr(addr);
         let (ciphertext, outcome) = self.nvm_read(line_addr);
@@ -1345,9 +1344,11 @@ impl SecureMemoryController {
             }
             let expected = self.data_mac_of(addr, &ciphertext, counter).max(1);
             if expected == stored {
-                return Ok(self
-                    .functional_cipher()
-                    .decrypt_line(&ciphertext, addr.index() * 64, counter));
+                return Ok(self.functional_cipher().decrypt_line(
+                    &ciphertext,
+                    addr.index() * 64,
+                    counter,
+                ));
             }
             // Crash staleness: the ciphertext + MAC committed atomically,
             // but under Eager/Triad the leaf carries no shadow entry, so
@@ -1369,9 +1370,11 @@ impl SecureMemoryController {
                 if self.data_mac_of(addr, &ciphertext, trial).max(1) == stored {
                     self.stats.forward_repairs += 1;
                     self.obs.metrics.inc("ctl.forward_repairs", 1);
-                    self.obs.trace.emit_with("ctl", "counter_forward_repair", || {
-                        obs_fields![("line", addr.index()), ("trials", t)]
-                    });
+                    self.obs
+                        .trace
+                        .emit_with("ctl", "counter_forward_repair", || {
+                            obs_fields![("line", addr.index()), ("trials", t)]
+                        });
                     let blk = self.resident_mut(leaf_addr);
                     let mut cb = CounterBlock::from_bytes(&blk.data);
                     for _ in 0..t {
@@ -1380,9 +1383,11 @@ impl SecureMemoryController {
                     blk.data = cb.to_bytes();
                     blk.slot_updates[slot] = blk.slot_updates[slot].saturating_add(t as u8);
                     self.cache.mark_dirty(leaf_addr);
-                    return Ok(self
-                        .functional_cipher()
-                        .decrypt_line(&ciphertext, addr.index() * 64, trial));
+                    return Ok(self.functional_cipher().decrypt_line(
+                        &ciphertext,
+                        addr.index() * 64,
+                        trial,
+                    ));
                 }
             }
             Err(MemoryError::IntegrityViolation { addr })
@@ -1429,9 +1434,9 @@ impl SecureMemoryController {
         }
         let pending = self.wpq.len();
         self.wpq.flush(&mut self.device);
-        self.obs.trace.emit_with("ctl", "wpq_flush", || {
-            obs_fields![("drained", pending)]
-        });
+        self.obs
+            .trace
+            .emit_with("ctl", "wpq_flush", || obs_fields![("drained", pending)]);
         Ok(())
     }
 

@@ -503,7 +503,10 @@ mod tests {
         // with 5 then way 1 with 1.
         assert_eq!(order, vec![4, 0, 5, 1]);
         // Stable across repeated iteration (no interior mutation).
-        assert_eq!(order, c.dirty_addrs().map(|a| a.index()).collect::<Vec<_>>());
+        assert_eq!(
+            order,
+            c.dirty_addrs().map(|a| a.index()).collect::<Vec<_>>()
+        );
     }
 
     #[test]

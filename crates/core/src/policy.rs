@@ -313,7 +313,10 @@ pub fn standard_schemes() -> &'static [&'static dyn ProtectionPolicy] {
 
 /// Looks a registered scheme up by its stable name.
 pub fn scheme_by_name(name: &str) -> Option<&'static dyn ProtectionPolicy> {
-    standard_schemes().iter().copied().find(|s| s.name() == name)
+    standard_schemes()
+        .iter()
+        .copied()
+        .find(|s| s.name() == name)
 }
 
 #[cfg(test)]

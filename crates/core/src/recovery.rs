@@ -592,7 +592,8 @@ fn emit_rec_done(obs: &mut Obs, report: &RecoveryReport) {
         ]
     });
     obs.metrics.inc("rec.blocks_restored", restored);
-    obs.metrics.inc("rec.unverifiable_lines", unverifiable_lines);
+    obs.metrics
+        .inc("rec.unverifiable_lines", unverifiable_lines);
 }
 
 /// Recovers a crashed secure memory **without** the Anubis shadow table:

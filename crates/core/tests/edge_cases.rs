@@ -75,7 +75,11 @@ fn osiris_limit_bounds_recovery_trials() {
             c.write(DataAddr::new(3), &[i as u8; 64]).unwrap();
         }
         let (mut c, report) = recover(c.crash());
-        assert!(report.is_complete(), "limit {limit}: {:?}", report.unverifiable);
+        assert!(
+            report.is_complete(),
+            "limit {limit}: {:?}",
+            report.unverifiable
+        );
         assert_eq!(
             c.read(DataAddr::new(3)).unwrap(),
             [(limit - 1); 64],
@@ -90,7 +94,9 @@ fn interleaved_reads_and_writes_stay_coherent() {
     let mut model = std::collections::HashMap::new();
     let mut x: u64 = 0x9e37;
     for step in 0..3000u64 {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         let line = (x >> 33) % 512;
         if step % 3 == 0 {
             let fill = (x >> 17) as u8;

@@ -790,7 +790,10 @@ mod tests {
                     cipher.decrypt_block(&fast),
                     cipher.decrypt_block_reference(&fast)
                 );
-                assert_eq!(cipher.decrypt_block(&fast), cipher.decrypt_block_table(&fast));
+                assert_eq!(
+                    cipher.decrypt_block(&fast),
+                    cipher.decrypt_block_table(&fast)
+                );
                 assert_eq!(cipher.decrypt_block(&fast), block);
                 block = fast;
             }

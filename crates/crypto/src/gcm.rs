@@ -516,7 +516,9 @@ mod tests {
         // remainder shape.
         let fast = AesGcm::new([0x5cu8; 16]);
         let slow = AesGcm::new([0x5cu8; 16]).force_software();
-        let data: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(131) % 256) as u8).collect();
+        let data: Vec<u8> = (0..200u32)
+            .map(|i| (i.wrapping_mul(131) % 256) as u8)
+            .collect();
         let nonce = [0xa7u8; 12];
         for len in [0, 1, 15, 16, 17, 48, 63, 64, 65, 128, 130, 192, 200] {
             let (ct_f, tag_f) = fast.seal(&nonce, &data[..len / 2], &data[..len]);

@@ -181,7 +181,9 @@ mod tests {
         let mut x = 0x452821e638d01377u64;
         let mut fill = |buf: &mut [u8]| {
             for b in buf.iter_mut() {
-                x = x.wrapping_mul(0xbf58476d1ce4e5b9).wrapping_add(0x94d049bb133111eb);
+                x = x
+                    .wrapping_mul(0xbf58476d1ce4e5b9)
+                    .wrapping_add(0x94d049bb133111eb);
                 *b = (x >> 40) as u8;
             }
         };

@@ -61,9 +61,9 @@ fn shani_available() -> bool {
 #[cfg(target_arch = "x86_64")]
 mod ni {
     use core::arch::x86_64::{
-        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128,
-        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
-        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
     };
 
     use super::K;
@@ -118,7 +118,10 @@ mod ni {
     #[target_feature(enable = "sha,ssse3,sse4.1")]
     pub(super) unsafe fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
         // Big-endian 32-bit loads: byte-swap each u32 lane.
-        let mask = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0bu64 as i64, 0x0405_0607_0001_0203u64 as i64);
+        let mask = _mm_set_epi64x(
+            0x0c0d_0e0f_0809_0a0bu64 as i64,
+            0x0405_0607_0001_0203u64 as i64,
+        );
 
         // SAFETY: `state` is 8 readable u32s — two unaligned 16-byte
         // loads at word offsets 0 and 4 stay in bounds.
@@ -458,7 +461,9 @@ mod tests {
         let mut x = 0x9e3779b97f4a7c15u64;
         for b in data.iter_mut() {
             // SplitMix64-style fill, deterministic.
-            x = x.wrapping_mul(0xbf58476d1ce4e5b9).wrapping_add(0x94d049bb133111eb);
+            x = x
+                .wrapping_mul(0xbf58476d1ce4e5b9)
+                .wrapping_add(0x94d049bb133111eb);
             *b = (x >> 56) as u8;
         }
         for len in 0..=data.len() {
@@ -472,7 +477,9 @@ mod tests {
 
     #[test]
     fn dispatch_matches_portable_incremental() {
-        let data: Vec<u8> = (0..777u32).map(|i| (i.wrapping_mul(97) % 256) as u8).collect();
+        let data: Vec<u8> = (0..777u32)
+            .map(|i| (i.wrapping_mul(97) % 256) as u8)
+            .collect();
         for split in [0, 1, 63, 64, 65, 128, 500, 777] {
             let mut fast = Sha256::new();
             fast.update(&data[..split]);
@@ -504,7 +511,9 @@ mod tests {
         let mut block = [0u8; 64];
         let mut x = 0x243f6a8885a308d3u64;
         for b in block.iter_mut() {
-            x = x.wrapping_mul(0xbf58476d1ce4e5b9).wrapping_add(0x94d049bb133111eb);
+            x = x
+                .wrapping_mul(0xbf58476d1ce4e5b9)
+                .wrapping_add(0x94d049bb133111eb);
             *b = (x >> 48) as u8;
         }
         assert_eq!(Sha256::digest64(&block), Sha256::digest(&block));

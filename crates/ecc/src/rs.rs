@@ -798,7 +798,9 @@ mod tests {
             let mut slow = vec![0xffu8; n];
             for seed in 0..64u32 {
                 let data: Vec<u8> = (0..k)
-                    .map(|i| ((i as u32).wrapping_mul(197).wrapping_add(seed * 5081 + 11) % 256) as u8)
+                    .map(|i| {
+                        ((i as u32).wrapping_mul(197).wrapping_add(seed * 5081 + 11) % 256) as u8
+                    })
                     .collect();
                 rs.encode_into(&data, &mut fast).unwrap();
                 rs.encode_into_reference(&data, &mut slow).unwrap();

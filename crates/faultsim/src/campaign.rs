@@ -919,7 +919,11 @@ mod tests {
         assert_eq!(r[0].iterations_with_faults, 157);
         assert_eq!(r[0].iterations_with_ue, 4);
         assert_eq!(r[0].iterations_with_udr, 4);
-        assert!(close(r[0].mean_error_ratio, 0.000_976_562_5), "{}", r[0].mean_error_ratio);
+        assert!(
+            close(r[0].mean_error_ratio, 0.000_976_562_5),
+            "{}",
+            r[0].mean_error_ratio
+        );
         assert!(close(r[0].mean_udr, 0.000_976_562_5), "{}", r[0].mean_udr);
 
         assert_eq!(r[1].policy, CloningPolicy::Aggressive);
@@ -927,7 +931,11 @@ mod tests {
         assert_eq!(r[1].iterations_with_faults, 157);
         assert_eq!(r[1].iterations_with_ue, 4);
         assert_eq!(r[1].iterations_with_udr, 0);
-        assert!(close(r[1].mean_error_ratio, 0.000_976_562_5), "{}", r[1].mean_error_ratio);
+        assert!(
+            close(r[1].mean_error_ratio, 0.000_976_562_5),
+            "{}",
+            r[1].mean_error_ratio
+        );
         assert_eq!(r[1].mean_udr, 0.0);
     }
 

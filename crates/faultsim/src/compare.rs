@@ -281,11 +281,9 @@ fn merge_compare_blocks(config: &CompareConfig, blocks: Vec<Block>) -> CompareOu
 
     // Slowdown half: one deterministic trace per scheme, in parallel,
     // collected in roster order.
-    let costs: Vec<TraceCost> = parallel_map(
-        schemes.to_vec(),
-        config.threads.max(1),
-        |scheme| run_trace(scheme, config),
-    );
+    let costs: Vec<TraceCost> = parallel_map(schemes.to_vec(), config.threads.max(1), |scheme| {
+        run_trace(scheme, config)
+    });
     let baseline_cost = costs.first().map_or(1, |c| c.cost_ns).max(1);
 
     let rows: Vec<SchemeRow> = schemes
@@ -342,7 +340,10 @@ fn merge_compare_blocks(config: &CompareConfig, blocks: Vec<Block>) -> CompareOu
                 ),
                 ("cost_ns".into(), Json::Num(r.cost_ns as f64)),
                 ("slowdown".into(), Json::Num(r.slowdown)),
-                ("recovery_est_ns".into(), Json::Num(r.recovery_est_ns as f64)),
+                (
+                    "recovery_est_ns".into(),
+                    Json::Num(r.recovery_est_ns as f64),
+                ),
                 ("recovery_complete".into(), Json::Bool(r.recovery_complete)),
             ])
         })
@@ -363,10 +364,7 @@ fn merge_compare_blocks(config: &CompareConfig, blocks: Vec<Block>) -> CompareOu
                     "iterations_with_ue".into(),
                     Json::Num(total.iterations_with_ue as f64),
                 ),
-                (
-                    "baseline_cost_ns".into(),
-                    Json::Num(baseline_cost as f64),
-                ),
+                ("baseline_cost_ns".into(), Json::Num(baseline_cost as f64)),
             ]),
         ),
     ]);
@@ -524,9 +522,7 @@ mod tests {
 
     #[test]
     fn config_parser_applies_and_rejects() {
-        let parse = |s: &str| {
-            compare_config_from_json(&Json::parse(s).expect("valid test JSON"))
-        };
+        let parse = |s: &str| compare_config_from_json(&Json::parse(s).expect("valid test JSON"));
         let c = parse(
             r#"{"fit": 900, "iterations": 100, "seed": "0xbeef", "threads": 2,
                 "capacity_bytes": 67108864, "trace_ops": 400}"#,

@@ -52,10 +52,8 @@ const POLICIES: [CloningPolicy; 3] = [
 /// Recovery paths of the matrix: Anubis shadow recovery is judged
 /// strictly; the Osiris exhaustive scan cannot rebuild unshadowed tree
 /// nodes and is judged in weak mode (no silent corruption, ever).
-const RECOVERIES: [(&str, OracleMode); 2] = [
-    ("anubis", OracleMode::Strict),
-    ("osiris", OracleMode::Weak),
-];
+const RECOVERIES: [(&str, OracleMode); 2] =
+    [("anubis", OracleMode::Strict), ("osiris", OracleMode::Weak)];
 
 /// Campaign bounds. The defaults are the PR-smoke scale; the nightly
 /// exhaustive job raises them with `soteria crashck --scripts`, `--txns`
@@ -144,10 +142,7 @@ const SCRIPT_LINES: u64 = 4096;
 /// Runs `script` against a fresh controller, stopping once the crash
 /// fuse fires. Returns the per-transaction accept events and an error
 /// seen while still alive (if any).
-fn run_script(
-    memory: &mut SecureMemoryController,
-    script: &[Tx],
-) -> (Vec<u64>, Option<String>) {
+fn run_script(memory: &mut SecureMemoryController, script: &[Tx]) -> (Vec<u64>, Option<String>) {
     let mut accepts = Vec::new();
     for tx in script {
         let mut staged = memory.transaction();
@@ -224,9 +219,7 @@ fn crash_run(
     let tail = trace_tail(&memory, 12);
     let reads = script_lines(script)
         .into_iter()
-        .map(|line| {
-            (line, memory.read(DataAddr::new(line)).ok())
-        })
+        .map(|line| (line, memory.read(DataAddr::new(line)).ok()))
         .collect();
     CrashRun {
         reads,
@@ -381,10 +374,7 @@ fn merge_crashck_units(
             ("seed".to_string(), Json::Str(format!("{:#018x}", r.seed))),
             ("mode".to_string(), Json::Str(r.mode.name().to_string())),
             ("txns".to_string(), Json::Num(r.txns as f64)),
-            (
-                "committed".to_string(),
-                Json::Num(r.committed_total as f64),
-            ),
+            ("committed".to_string(), Json::Num(r.committed_total as f64)),
             ("points".to_string(), Json::Num(r.points as f64)),
             ("divergent".to_string(), Json::Bool(diverged)),
         ];
@@ -425,7 +415,10 @@ fn merge_crashck_units(
         (
             "config".to_string(),
             Json::Obj(vec![
-                ("seed".to_string(), Json::Str(format!("{:#018x}", config.seed))),
+                (
+                    "seed".to_string(),
+                    Json::Str(format!("{:#018x}", config.seed)),
+                ),
                 (
                     "scripts_per_cell".to_string(),
                     Json::Num(config.scripts_per_cell.max(1) as f64),
@@ -675,7 +668,9 @@ mod tests {
         assert!(
             one.divergences.is_empty(),
             "committed-prefix divergence: {:?}",
-            one.divergences.first().map(|d| (&d.cell, d.point, &d.reason))
+            one.divergences
+                .first()
+                .map(|d| (&d.cell, d.point, &d.reason))
         );
         let four = run_crashck(&CrashckConfig {
             threads: 4,

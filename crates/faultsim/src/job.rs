@@ -204,11 +204,7 @@ pub(crate) mod field {
 /// results, and a metrics snapshot derived from the event trace. This is
 /// the single serializer behind `soteria campaign --json` and the
 /// service's result endpoint.
-pub fn report_json(
-    config: &CampaignConfig,
-    results: &[PolicyResult],
-    trace: &TraceBuffer,
-) -> Json {
+pub fn report_json(config: &CampaignConfig, results: &[PolicyResult], trace: &TraceBuffer) -> Json {
     let mut event_counts: Vec<(String, u64)> = Vec::new();
     for ev in trace.events() {
         match event_counts.iter_mut().find(|(n, _)| n == ev.name) {
@@ -595,8 +591,14 @@ mod tests {
         let mut config_b = config.clone();
         config_b.threads = 5;
         let b = run_job(&config_b);
-        assert_eq!(a.result_json, b.result_json, "result bytes thread-invariant");
-        assert_eq!(a.trace_ndjson, b.trace_ndjson, "trace bytes thread-invariant");
+        assert_eq!(
+            a.result_json, b.result_json,
+            "result bytes thread-invariant"
+        );
+        assert_eq!(
+            a.trace_ndjson, b.trace_ndjson,
+            "trace bytes thread-invariant"
+        );
         assert_eq!(a.results.len(), STANDARD_POLICIES.len());
         let doc = Json::parse(&a.result_json).unwrap();
         let policies: Vec<&str> = doc

@@ -40,15 +40,14 @@ pub use campaign::{
 };
 pub use compare::{compare_config_from_json, run_compare, CompareConfig, CompareOutput, SchemeRow};
 pub use crashck::{
-    crashck_config_from_json, run_crashck, sweep_cell, CellDivergence, CrashckConfig,
-    CrashckOutput,
+    crashck_config_from_json, run_crashck, sweep_cell, CellDivergence, CrashckConfig, CrashckOutput,
 };
 pub use job::{
     config_from_json, report_json, run_job, run_spec, JobOutput, JobSpec, STANDARD_POLICIES,
 };
 pub use rare::{estimate_clone_udr, RareEventResult};
-pub use shard::{blocks_spec_from_json, merge_partials, run_block_range, total_blocks};
 pub use rates::{FaultMode, FitRates};
+pub use shard::{blocks_spec_from_json, merge_partials, run_block_range, total_blocks};
 
 /// Hours in the five-year simulated service life used by the paper.
 pub const FIVE_YEARS_HOURS: f64 = 5.0 * 365.25 * 24.0;

@@ -79,7 +79,9 @@ pub fn merge_partials(spec: &JobSpec, partials: &[Json]) -> Result<(String, Stri
     for doc in partials {
         let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
         if schema != BLOCKS_SCHEMA {
-            return Err(format!("partial has schema '{schema}', expected '{BLOCKS_SCHEMA}'"));
+            return Err(format!(
+                "partial has schema '{schema}', expected '{BLOCKS_SCHEMA}'"
+            ));
         }
         let got = doc.get("kind").and_then(Json::as_str).unwrap_or("");
         if got != kind {
@@ -112,9 +114,7 @@ pub(crate) fn dedup_covered<T>(
         }
     }
     if blocks.len() as u64 > total {
-        return Err(format!(
-            "merge holds a block past the job's {total} blocks"
-        ));
+        return Err(format!("merge holds a block past the job's {total} blocks"));
     }
     Ok(blocks)
 }

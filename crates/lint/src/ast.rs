@@ -317,18 +317,12 @@ fn record_field(toks: &[Tok], i: usize, stack: &[Frame], ast: &mut FileAst) {
             "," if depth <= 0 => break,
             "}" if depth <= 0 => break,
             "Mutex" => {
-                ast.lock_fields.push((
-                    struct_name.clone(),
-                    field.text.clone(),
-                    LockKind::Mutex,
-                ));
+                ast.lock_fields
+                    .push((struct_name.clone(), field.text.clone(), LockKind::Mutex));
             }
             "RwLock" => {
-                ast.lock_fields.push((
-                    struct_name.clone(),
-                    field.text.clone(),
-                    LockKind::RwLock,
-                ));
+                ast.lock_fields
+                    .push((struct_name.clone(), field.text.clone(), LockKind::RwLock));
             }
             "Condvar" => ast.condvar_fields.push(field.text.clone()),
             _ => {}
@@ -369,7 +363,11 @@ mod tests {
             .collect();
         assert_eq!(
             names,
-            vec![("go", "net::S::go"), ("quiet", "net::S::quiet"), ("free", "free")]
+            vec![
+                ("go", "net::S::go"),
+                ("quiet", "net::S::quiet"),
+                ("free", "free")
+            ]
         );
         assert!(ast.fns[0].is_bare_pub);
         assert_eq!(ast.fns[0].impl_type.as_deref(), Some("S"));

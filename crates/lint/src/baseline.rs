@@ -90,10 +90,7 @@ impl Baseline {
             })
             .collect();
         Json::Obj(vec![
-            (
-                "format".to_string(),
-                Json::Str(BASELINE_FORMAT.to_string()),
-            ),
+            ("format".to_string(), Json::Str(BASELINE_FORMAT.to_string())),
             ("entries".to_string(), Json::Arr(entries)),
         ])
     }
@@ -155,7 +152,11 @@ mod tests {
         let vs = vec![
             v(Rule::P1, "crates/core/src/a.rs", "x.unwrap();"),
             v(Rule::P1, "crates/core/src/a.rs", "x.unwrap();"),
-            v(Rule::D2, "crates/nvm/src/b.rs", "use std::collections::HashMap;"),
+            v(
+                Rule::D2,
+                "crates/nvm/src/b.rs",
+                "use std::collections::HashMap;",
+            ),
         ];
         let b = Baseline::from_violations(&vs);
         assert_eq!(b.len(), 3);

@@ -54,8 +54,8 @@ impl CallSite {
 
 /// Keywords and constructors that look like calls but are not.
 const NOT_CALLEES: [&str; 18] = [
-    "if", "while", "for", "match", "loop", "return", "let", "else", "in", "move", "as",
-    "break", "continue", "unsafe", "Some", "Ok", "Err", "None",
+    "if", "while", "for", "match", "loop", "return", "let", "else", "in", "move", "as", "break",
+    "continue", "unsafe", "Some", "Ok", "Err", "None",
 ];
 
 /// Extracts the call sites in `body`, in token order.
@@ -298,11 +298,14 @@ mod tests {
 
     #[test]
     fn ambiguous_names_do_not_resolve() {
-        let ast = ast_of(
-            "mod a { pub fn dup() {} }\nmod b { pub fn dup() {} }\nfn f() { dup(); }\n",
-        );
+        let ast =
+            ast_of("mod a { pub fn dup() {} }\nmod b { pub fn dup() {} }\nfn f() { dup(); }\n");
         let graph = CallGraph::build(std::slice::from_ref(&ast));
-        let f = graph.fns.iter().position(|x| x.item.name == "f").expect("f");
+        let f = graph
+            .fns
+            .iter()
+            .position(|x| x.item.name == "f")
+            .expect("f");
         let sites = call_sites(&ast.toks, graph.fns[f].item.body.clone());
         assert_eq!(graph.resolve(f, &sites[0]), None);
     }

@@ -50,8 +50,8 @@ const REACTOR: &str = "crates/rt/src/reactor.rs";
 /// receivers are fallible lookups like `Json::write(&mut String, …)`,
 /// which never touch the network).
 const STREAMY_RECEIVERS: [&str; 12] = [
-    "stream", "socket", "sock", "conn", "listener", "stdin", "stdout", "stderr", "file",
-    "tcp", "reader", "writer",
+    "stream", "socket", "sock", "conn", "listener", "stdin", "stdout", "stderr", "file", "tcp",
+    "reader", "writer",
 ];
 
 /// Method names that block on sockets, channels, or threads.
@@ -82,7 +82,10 @@ impl Registry {
         let mut condvar_fields = BTreeSet::new();
         for ast in asts {
             for (st, field, _kind) in &ast.lock_fields {
-                lock_fields.entry(field.clone()).or_default().insert(st.clone());
+                lock_fields
+                    .entry(field.clone())
+                    .or_default()
+                    .insert(st.clone());
             }
             for f in &ast.condvar_fields {
                 condvar_fields.insert(f.clone());
@@ -160,7 +163,16 @@ pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
     // Phase A: per-function direct facts.
     let mut summaries: Vec<Summary> = (0..graph.fns.len())
         .map(|f| {
-            scan_fn(&asts, &scans, &graph, f, &registry, None, &mut Vec::new(), &mut Vec::new())
+            scan_fn(
+                &asts,
+                &scans,
+                &graph,
+                f,
+                &registry,
+                None,
+                &mut Vec::new(),
+                &mut Vec::new(),
+            )
         })
         .collect();
 
@@ -195,7 +207,16 @@ pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
     let mut out = Vec::new();
     let mut edges = Vec::new();
     for f in 0..graph.fns.len() {
-        scan_fn(&asts, &scans, &graph, f, &registry, Some(&summaries), &mut edges, &mut out);
+        scan_fn(
+            &asts,
+            &scans,
+            &graph,
+            f,
+            &registry,
+            Some(&summaries),
+            &mut edges,
+            &mut out,
+        );
     }
 
     // C1: any edge on a cycle of the order graph.
@@ -210,7 +231,10 @@ pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
     };
     let reaches = |from: &str, to: &str| {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut work: Vec<&str> = adj.get(from).map(|s| s.iter().copied().collect()).unwrap_or_default();
+        let mut work: Vec<&str> = adj
+            .get(from)
+            .map(|s| s.iter().copied().collect())
+            .unwrap_or_default();
         while let Some(n) = work.pop() {
             if n == to {
                 return true;
@@ -226,7 +250,10 @@ pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
     for e in &edges {
         if reaches(&e.to, &e.from) || e.from == e.to {
             let msg = if e.from == e.to {
-                format!("lock `{}` acquired while already held (self-deadlock)", e.to)
+                format!(
+                    "lock `{}` acquired while already held (self-deadlock)",
+                    e.to
+                )
             } else {
                 format!(
                     "lock-order cycle: acquiring `{}` while holding `{}`",
@@ -335,8 +362,7 @@ fn scan_fn(
     let site_map: BTreeMap<usize, &CallSite> = sites.iter().map(|s| (s.paren, s)).collect();
 
     let mut facts = Summary::default();
-    let in_test = is_test_path(&ast.rel)
-        || scan.in_test.get(item.line).copied().unwrap_or(false);
+    let in_test = is_test_path(&ast.rel) || scan.in_test.get(item.line).copied().unwrap_or(false);
     let report = summaries.is_some() && !in_test;
 
     // (is_loop, guard indices opened in this block); index 0 is the
@@ -423,10 +449,8 @@ fn scan_fn(
         };
 
         let is_acquire_lock = site.method && name == "lock" && site.args_empty;
-        let is_acquire_rw =
-            site.method && (name == "read" || name == "write") && site.args_empty;
-        let is_wait =
-            site.method && matches!(name, "wait" | "wait_timeout" | "wait_while");
+        let is_acquire_rw = site.method && (name == "read" || name == "write") && site.args_empty;
+        let is_wait = site.method && matches!(name, "wait" | "wait_timeout" | "wait_while");
 
         if is_acquire_lock || is_acquire_rw {
             let Some(lock) = reg.lock_id(&site.recv) else {
@@ -476,7 +500,9 @@ fn scan_fn(
                 .is_some_and(|r| reg.condvar_fields.contains(r))
                 || !arg_guards.is_empty();
             if is_condvar {
-                facts.blocking.get_or_insert_with(|| format!("Condvar::{name}"));
+                facts
+                    .blocking
+                    .get_or_insert_with(|| format!("Condvar::{name}"));
                 if report {
                     if let Some(lock) = first_held_lock(&arg_guards) {
                         scan.push(
@@ -632,12 +658,7 @@ fn scan_fn(
 }
 
 /// U2: raw syscalls stay inside `rt::reactor`, behind the `Poller` API.
-fn u2_pass(
-    asts: &[FileAst],
-    scans: &[FileScan<'_>],
-    graph: &CallGraph,
-    out: &mut Vec<Violation>,
-) {
+fn u2_pass(asts: &[FileAst], scans: &[FileScan<'_>], graph: &CallGraph, out: &mut Vec<Violation>) {
     let extern_names: BTreeSet<&str> = asts
         .iter()
         .flat_map(|a| a.extern_fns.iter().map(|(n, _)| n.as_str()))

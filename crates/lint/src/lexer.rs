@@ -314,10 +314,8 @@ pub fn find_token(code: &str, token: &str) -> Option<usize> {
             && bytes[start - 1] == b'#'
             && bytes[start - 2] == b'r'
             && (start == 2 || !ident(bytes[start - 3]));
-        let before_ok =
-            !ident(tok[0]) || start == 0 || (!ident(bytes[start - 1]) && !raw_prefixed);
-        let after_ok =
-            !ident(tok[tok.len() - 1]) || end >= bytes.len() || !ident(bytes[end]);
+        let before_ok = !ident(tok[0]) || start == 0 || (!ident(bytes[start - 1]) && !raw_prefixed);
+        let after_ok = !ident(tok[tok.len() - 1]) || end >= bytes.len() || !ident(bytes[end]);
         if before_ok && after_ok {
             return Some(start);
         }

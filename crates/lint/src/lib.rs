@@ -115,8 +115,11 @@ impl LintReport {
                 ("baselined".to_string(), Json::Bool(baselined)),
             ])
         };
-        let mut violations: Vec<Json> =
-            self.new_violations.iter().map(|v| violation(v, false)).collect();
+        let mut violations: Vec<Json> = self
+            .new_violations
+            .iter()
+            .map(|v| violation(v, false))
+            .collect();
         violations.extend(self.baselined.iter().map(|v| violation(v, true)));
         Json::Obj(vec![
             ("tool".to_string(), Json::Str("soteria-lint/v2".to_string())),

@@ -13,8 +13,8 @@
 use std::path::PathBuf;
 
 use soteria_lint::{
-    lint_files, lint_workspace, Baseline, LintError, LintReport, Rule, EXIT_CLEAN,
-    EXIT_ERROR, EXIT_VIOLATIONS,
+    lint_files, lint_workspace, Baseline, LintError, LintReport, Rule, EXIT_CLEAN, EXIT_ERROR,
+    EXIT_VIOLATIONS,
 };
 
 const USAGE: &str = "usage: soteria-lint --workspace [--root DIR] [--baseline FILE] \
@@ -165,7 +165,11 @@ fn run(args: &Args) -> Result<i32, LintError> {
         println!(
             "soteria-lint: wrote baseline with {} entr{} to {}",
             report.new_violations.len(),
-            if report.new_violations.len() == 1 { "y" } else { "ies" },
+            if report.new_violations.len() == 1 {
+                "y"
+            } else {
+                "ies"
+            },
             baseline_path.display()
         );
         return Ok(EXIT_CLEAN);

@@ -268,8 +268,7 @@ impl<'a> FileScan<'a> {
                     path: rel.to_string(),
                     line: k + 1,
                     snippet: snippet_at(&raw_lines, k),
-                    message: "malformed lint:allow (expected lint:allow(RULE, reason))"
-                        .to_string(),
+                    message: "malformed lint:allow (expected lint:allow(RULE, reason))".to_string(),
                 });
             }
             allows[k].extend(parsed.into_iter().map(|a| a.rule));
@@ -385,9 +384,7 @@ pub fn lint_rust_source(rel: &str, source: &str) -> Vec<Violation> {
                             &mut out,
                             Rule::D3,
                             k,
-                            format!(
-                                "randomness source `{tok}` outside soteria-rt::rng"
-                            ),
+                            format!("randomness source `{tok}` outside soteria-rt::rng"),
                         );
                         break;
                     }
@@ -463,23 +460,22 @@ pub fn lint_cargo_toml(rel: &str, source: &str) -> Vec<Violation> {
     // section may satisfy the policy.
     let mut dep_section: Option<(String, usize, String, bool)> = None;
     let raw_lines: Vec<&str> = source.lines().collect();
-    let flush =
-        |section: &mut Option<(String, usize, String, bool)>, out: &mut Vec<Violation>| {
-            if let Some((name, line, snippet, ok)) = section.take() {
-                if !ok {
-                    out.push(Violation {
-                        rule: Rule::H1,
-                        path: rel.to_string(),
-                        line,
-                        snippet,
-                        message: format!(
-                            "external dependency `{name}` (hermetic build: \
+    let flush = |section: &mut Option<(String, usize, String, bool)>, out: &mut Vec<Violation>| {
+        if let Some((name, line, snippet, ok)) = section.take() {
+            if !ok {
+                out.push(Violation {
+                    rule: Rule::H1,
+                    path: rel.to_string(),
+                    line,
+                    snippet,
+                    message: format!(
+                        "external dependency `{name}` (hermetic build: \
                              path or workspace entries only)"
-                        ),
-                    });
-                }
+                    ),
+                });
             }
-        };
+        }
+    };
     for (k, raw) in raw_lines.iter().enumerate() {
         let line = strip_toml_comment(raw).trim().to_string();
         if line.is_empty() {
@@ -490,9 +486,7 @@ pub fn lint_cargo_toml(rel: &str, source: &str) -> Vec<Violation> {
             let name = line.trim_matches(|c| c == '[' || c == ']');
             let segments: Vec<&str> = name.split('.').collect();
             let dep_kinds = ["dependencies", "dev-dependencies", "build-dependencies"];
-            let kind_at = segments
-                .iter()
-                .position(|s| dep_kinds.contains(s));
+            let kind_at = segments.iter().position(|s| dep_kinds.contains(s));
             match kind_at {
                 Some(i) if i + 1 < segments.len() => {
                     // [dependencies.foo] — judge the whole section.
@@ -553,7 +547,9 @@ pub fn lint_cargo_toml(rel: &str, source: &str) -> Vec<Violation> {
 /// True if a dependency key or value ties the entry to the workspace.
 fn hermetic_value(s: &str) -> bool {
     let squeezed: String = s.chars().filter(|c| !c.is_whitespace()).collect();
-    squeezed.contains("path=") || squeezed.contains("workspace=true") || squeezed.ends_with(".workspace")
+    squeezed.contains("path=")
+        || squeezed.contains("workspace=true")
+        || squeezed.ends_with(".workspace")
 }
 
 fn strip_toml_comment(line: &str) -> &str {

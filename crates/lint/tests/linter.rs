@@ -303,9 +303,7 @@ fn binary_exit_codes_and_usage_are_pinned() {
 
     let out = run_lint(&["--nope"]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("usage error: unknown flag '--nope'")
-    );
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage error: unknown flag '--nope'"));
 
     let out = run_lint(&["--list-rules"]);
     assert_eq!(out.status.code(), Some(0));
@@ -358,7 +356,12 @@ fn binary_flags_seeded_violations_by_rule_name() {
         doc.get("tool").and_then(|t| t.as_str()),
         Some("soteria-lint/v2")
     );
-    assert!(doc.get("new_violations").and_then(|n| n.as_f64()).unwrap_or(0.0) >= 4.0);
+    assert!(
+        doc.get("new_violations")
+            .and_then(|n| n.as_f64())
+            .unwrap_or(0.0)
+            >= 4.0
+    );
     // v2 tags every violation with the pass that produced it.
     match doc.get("violations") {
         Some(Json::Arr(items)) => {
@@ -383,7 +386,11 @@ fn binary_flags_seeded_violations_by_rule_name() {
     ]);
     assert_eq!(out.status.code(), Some(0));
     let out = run_lint(&["--workspace", "--root", &scratch.display().to_string()]);
-    assert_eq!(out.status.code(), Some(0), "baselined scratch must be clean");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "baselined scratch must be clean"
+    );
 
     std::fs::remove_dir_all(&scratch).ok();
 }
@@ -447,10 +454,7 @@ fn c3_flags_condvar_wait_outside_predicate_loop() {
         include_str!("fixtures/c3_wait.rs"),
     );
     assert_eq!(rules_of(&vs), vec![Rule::C3], "{vs:?}");
-    assert!(
-        vs[0].message.contains("outside a predicate loop"),
-        "{vs:?}"
-    );
+    assert!(vs[0].message.contains("outside a predicate loop"), "{vs:?}");
 }
 
 #[test]
@@ -470,13 +474,15 @@ fn u2_flags_raw_syscalls_outside_reactor() {
     );
     assert_eq!(rules_of(&vs), vec![Rule::U2, Rule::U2], "{vs:?}");
     assert!(
-        vs.iter()
-            .any(|v| v.message.contains("raw syscall declaration `epoll_create1`")),
+        vs.iter().any(|v| v
+            .message
+            .contains("raw syscall declaration `epoll_create1`")),
         "{vs:?}"
     );
     assert!(
-        vs.iter()
-            .any(|v| v.message.contains("raw syscall `epoll_create1` called outside")),
+        vs.iter().any(|v| v
+            .message
+            .contains("raw syscall `epoll_create1` called outside")),
         "{vs:?}"
     );
 }
@@ -620,8 +626,7 @@ fn json_report_roundtrips_with_pass_field() {
 
 #[test]
 fn binary_changed_mode_lints_only_listed_files() {
-    let scratch =
-        std::env::temp_dir().join(format!("soteria-lint-changed-{}", std::process::id()));
+    let scratch = std::env::temp_dir().join(format!("soteria-lint-changed-{}", std::process::id()));
     let nvm_src = scratch.join("crates").join("nvm").join("src");
     std::fs::create_dir_all(&nvm_src).expect("mkdir scratch");
     std::fs::write(
@@ -661,8 +666,7 @@ fn binary_changed_mode_lints_only_listed_files() {
         .contains("--workspace and --changed are mutually exclusive"));
     let out = run_lint(&["--changed", "x.rs", "--write-baseline", "--root", &root]);
     assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr)
-        .contains("--write-baseline needs --workspace"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--write-baseline needs --workspace"));
 
     std::fs::remove_dir_all(&scratch).ok();
 }

@@ -345,9 +345,9 @@ impl NvmDimm {
         if let Some(l) = &mut self.leveler {
             if let Some((from, to)) = l.record_write() {
                 self.move_physical_line(from, to);
-                self.obs.trace.emit_with("dev", "remap", || {
-                    obs_fields![("from", from), ("to", to)]
-                });
+                self.obs
+                    .trace
+                    .emit_with("dev", "remap", || obs_fields![("from", from), ("to", to)]);
                 self.obs.metrics.inc("dev.remaps", 1);
             }
         }
@@ -557,7 +557,9 @@ impl NvmDimm {
             CorrectionOutcome::Corrected { symbols } => {
                 self.stats.corrected_reads += 1;
                 self.obs.metrics.inc("dev.corrected_reads", 1);
-                self.obs.metrics.observe("dev.corrected_symbols", symbols as u64);
+                self.obs
+                    .metrics
+                    .observe("dev.corrected_symbols", symbols as u64);
             }
             CorrectionOutcome::Uncorrectable => {
                 self.stats.uncorrectable_reads += 1;

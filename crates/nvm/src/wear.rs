@@ -266,7 +266,8 @@ mod tests {
             }
             for l in 0..lines {
                 assert_eq!(
-                    physical[lv.translate(l) as usize], expected[l as usize],
+                    physical[lv.translate(l) as usize],
+                    expected[l as usize],
                     "logical line {l} lost data after {} gap moves",
                     lv.total_moves()
                 );

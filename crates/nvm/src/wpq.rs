@@ -384,8 +384,11 @@ mod tests {
         q.push(write(2, 2), &mut d);
         q.push(write(3, 3), &mut d);
         // Group of 3 into a queue with 1 free slot: drains 2 residues first.
-        q.push_atomic(&mut vec![write(10, 10), write(11, 11), write(12, 12)], &mut d)
-            .unwrap();
+        q.push_atomic(
+            &mut vec![write(10, 10), write(11, 11), write(12, 12)],
+            &mut d,
+        )
+        .unwrap();
         assert_eq!(q.len(), 4);
         assert_eq!(d.stats().writes, 2);
     }
@@ -450,8 +453,11 @@ mod tests {
         assert_eq!(q.len(), 3);
         // An atomic group the size of the whole queue onto a full queue
         // forces exactly `capacity` stall drains — no more, no less.
-        q.push_atomic(&mut vec![write(20, 20), write(21, 21), write(22, 22)], &mut d)
-            .unwrap();
+        q.push_atomic(
+            &mut vec![write(20, 20), write(21, 21), write(22, 22)],
+            &mut d,
+        )
+        .unwrap();
         assert_eq!(q.stalls(), 1 + 3);
         assert_eq!(q.len(), 3);
         // Events: 5 accepts (the group is one event) + 4 stall drains.
@@ -494,7 +500,10 @@ mod tests {
         assert!(q.push(write(1, 1), &mut d).is_accepted());
         let at2 = q.push(write(2, 2), &mut d);
         assert_eq!(at2, AcceptOutcome::Accepted { event: 2 });
-        assert!(q.is_dead(), "the armed event completes, then the fuse fires");
+        assert!(
+            q.is_dead(),
+            "the armed event completes, then the fuse fires"
+        );
         assert_eq!(q.push(write(3, 3), &mut d), AcceptOutcome::Dead);
         assert_eq!(
             q.push_atomic(&mut vec![write(4, 4)], &mut d),

@@ -153,7 +153,10 @@ impl Census {
     /// How many transactions are committed when the machine dies right
     /// after event `point` completes.
     pub fn committed_at(&self, point: u64) -> usize {
-        self.commit_events.iter().take_while(|&&e| e <= point).count()
+        self.commit_events
+            .iter()
+            .take_while(|&&e| e <= point)
+            .count()
     }
 
     /// Internal consistency: commit events must be strictly increasing
@@ -247,7 +250,13 @@ pub struct ScriptVerdict {
 
 /// Judges a single crash run against the reference model. Returns the
 /// reason the run diverges, or `None` when it honours the contract.
-pub fn check_point(script: &[Tx], census: &Census, mode: OracleMode, point: u64, run: &CrashRun) -> Option<String> {
+pub fn check_point(
+    script: &[Tx],
+    census: &Census,
+    mode: OracleMode,
+    point: u64,
+    run: &CrashRun,
+) -> Option<String> {
     if let Some(err) = &run.exec_error {
         return Some(format!("script execution failed before the crash: {err}"));
     }
@@ -407,7 +416,10 @@ pub struct JournalSummary {
 ///   reached media) — ADR drained the whole queue.
 ///
 /// Returns summary statistics, or the first discipline violation.
-pub fn replay_journal(records: &[WpqEventRecord], capacity: usize) -> Result<JournalSummary, String> {
+pub fn replay_journal(
+    records: &[WpqEventRecord],
+    capacity: usize,
+) -> Result<JournalSummary, String> {
     let mut queue: std::collections::VecDeque<(u64, u64)> = std::collections::VecDeque::new();
     let mut clock = 0u64;
     let mut summary = JournalSummary::default();
@@ -527,8 +539,12 @@ mod tests {
     #[test]
     fn reference_model_applies_prefixes_in_order() {
         let script = vec![
-            Tx { writes: vec![(1, 0xaa), (2, 0xbb)] },
-            Tx { writes: vec![(1, 0xcc)] },
+            Tx {
+                writes: vec![(1, 0xaa), (2, 0xbb)],
+            },
+            Tx {
+                writes: vec![(1, 0xcc)],
+            },
         ];
         assert!(expected_state(&script, 0).is_empty());
         assert_eq!(expected_state(&script, 1).get(&1), Some(&0xaa));
@@ -539,13 +555,19 @@ mod tests {
 
     #[test]
     fn census_maps_points_to_prefixes() {
-        let census = Census { total_events: 7, commit_events: vec![2, 5] };
+        let census = Census {
+            total_events: 7,
+            commit_events: vec![2, 5],
+        };
         assert_eq!(census.committed_at(0), 0);
         assert_eq!(census.committed_at(2), 1);
         assert_eq!(census.committed_at(4), 1);
         assert_eq!(census.committed_at(5), 2);
         assert!(census.validate().is_ok());
-        let bad = Census { total_events: 3, commit_events: vec![2, 2] };
+        let bad = Census {
+            total_events: 3,
+            commit_events: vec![2, 2],
+        };
         assert!(bad.validate().is_err());
     }
 
@@ -563,8 +585,12 @@ mod tests {
     #[test]
     fn torn_transaction_is_caught_at_the_first_bad_point() {
         let script = vec![
-            Tx { writes: vec![(3, 0x11)] },
-            Tx { writes: vec![(4, 0x22), (3, 0x33)] },
+            Tx {
+                writes: vec![(3, 0x11)],
+            },
+            Tx {
+                writes: vec![(4, 0x22), (3, 0x33)],
+            },
         ];
         let census = toy_census(&script);
         let verdict = check_script(&script, &census, OracleMode::Strict, 1, |p| {
@@ -572,7 +598,11 @@ mod tests {
         });
         let d = verdict.divergence.expect("torn write must diverge");
         assert_eq!(d.point, 0, "first bad point reported first");
-        assert!(d.reason.contains("line"), "reason names the line: {}", d.reason);
+        assert!(
+            d.reason.contains("line"),
+            "reason names the line: {}",
+            d.reason
+        );
     }
 
     #[test]
@@ -595,7 +625,9 @@ mod tests {
 
     #[test]
     fn weak_mode_tolerates_failed_reads_only_when_incomplete() {
-        let script = vec![Tx { writes: vec![(1, 0x55)] }];
+        let script = vec![Tx {
+            writes: vec![(1, 0x55)],
+        }];
         let census = toy_census(&script);
         let mut run = toy_run(&script, &census, 1, false);
         run.reads[0].1 = None;
@@ -611,7 +643,9 @@ mod tests {
 
     #[test]
     fn exec_errors_always_diverge() {
-        let script = vec![Tx { writes: vec![(1, 0x55)] }];
+        let script = vec![Tx {
+            writes: vec![(1, 0x55)],
+        }];
         let census = toy_census(&script);
         let mut run = toy_run(&script, &census, 1, false);
         run.exec_error = Some("write failed".into());
@@ -621,9 +655,19 @@ mod tests {
     #[test]
     fn journal_replay_accepts_a_clean_history() {
         let records = vec![
-            WpqEventRecord::Accept { event: 1, writes: vec![(10, 1), (11, 2)] },
-            WpqEventRecord::Accept { event: 2, writes: vec![(12, 3)] },
-            WpqEventRecord::StallDrain { event: 3, addr: 10, fp: 1 },
+            WpqEventRecord::Accept {
+                event: 1,
+                writes: vec![(10, 1), (11, 2)],
+            },
+            WpqEventRecord::Accept {
+                event: 2,
+                writes: vec![(12, 3)],
+            },
+            WpqEventRecord::StallDrain {
+                event: 3,
+                addr: 10,
+                fp: 1,
+            },
             WpqEventRecord::FlushDrain { addr: 11, fp: 2 },
             WpqEventRecord::FlushDrain { addr: 12, fp: 3 },
         ];
@@ -639,18 +683,30 @@ mod tests {
     fn journal_replay_rejects_discipline_violations() {
         // Out-of-order drain.
         let records = vec![
-            WpqEventRecord::Accept { event: 1, writes: vec![(10, 1), (11, 2)] },
+            WpqEventRecord::Accept {
+                event: 1,
+                writes: vec![(10, 1), (11, 2)],
+            },
             WpqEventRecord::FlushDrain { addr: 11, fp: 2 },
         ];
         assert!(replay_journal(&records, 4).is_err());
         // Overflow.
-        let records = vec![WpqEventRecord::Accept { event: 1, writes: vec![(1, 1), (2, 2), (3, 3)] }];
+        let records = vec![WpqEventRecord::Accept {
+            event: 1,
+            writes: vec![(1, 1), (2, 2), (3, 3)],
+        }];
         assert!(replay_journal(&records, 2).is_err());
         // Un-flushed residue.
-        let records = vec![WpqEventRecord::Accept { event: 1, writes: vec![(1, 1)] }];
+        let records = vec![WpqEventRecord::Accept {
+            event: 1,
+            writes: vec![(1, 1)],
+        }];
         assert!(replay_journal(&records, 4).is_err());
         // Clock skew.
-        let records = vec![WpqEventRecord::Accept { event: 2, writes: vec![(1, 1)] }];
+        let records = vec![WpqEventRecord::Accept {
+            event: 2,
+            writes: vec![(1, 1)],
+        }];
         assert!(replay_journal(&records, 4).is_err());
     }
 
@@ -662,7 +718,9 @@ mod tests {
 
     #[test]
     fn tx_describe_is_compact() {
-        let tx = Tx { writes: vec![(3, 0xab), (17, 0x01)] };
+        let tx = Tx {
+            writes: vec![(3, 0xab), (17, 0x01)],
+        };
         assert_eq!(tx.describe(), "3:ab,17:01");
     }
 }

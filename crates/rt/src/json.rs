@@ -335,8 +335,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ASCII");
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err(&format!("invalid number '{text}'")))
@@ -445,10 +445,7 @@ mod tests {
         assert_eq!(entries[0].0, "b");
         assert_eq!(entries[1].0, "a");
         assert_eq!(v.get("b").unwrap().as_array().unwrap().len(), 3);
-        assert_eq!(
-            v.get("a").unwrap().get("k").unwrap().as_str().unwrap(),
-            "v"
-        );
+        assert_eq!(v.get("a").unwrap().get("k").unwrap().as_str().unwrap(), "v");
     }
 
     #[test]
@@ -460,8 +457,19 @@ mod tests {
     #[test]
     fn rejects_malformed_documents() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "1 2", "\"\\q\"",
-            "\"unterminated", "nul", "[1 2]", "\"\\ud800x\"", "01a",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"\\q\"",
+            "\"unterminated",
+            "nul",
+            "[1 2]",
+            "\"\\ud800x\"",
+            "01a",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed: {bad:?}");
         }

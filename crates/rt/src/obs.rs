@@ -337,8 +337,7 @@ pub fn parse_ndjson(text: &str) -> Result<Vec<Json>, NdjsonError> {
             line: lineno,
             message,
         };
-        let value =
-            Json::parse(line).map_err(|e: JsonError| err(format!("{e}")))?;
+        let value = Json::parse(line).map_err(|e: JsonError| err(format!("{e}")))?;
         if value.entries().is_none() {
             return Err(err("not a JSON object".to_string()));
         }
@@ -473,10 +472,7 @@ impl Log2Histogram {
             .collect();
         Json::Obj(vec![
             ("count".to_string(), Json::Num(self.count as f64)),
-            (
-                "min".to_string(),
-                Json::Num(self.min().unwrap_or(0) as f64),
-            ),
+            ("min".to_string(), Json::Num(self.min().unwrap_or(0) as f64)),
             ("max".to_string(), Json::Num(self.max as f64)),
             ("mean".to_string(), Json::Num(self.mean())),
             ("buckets".to_string(), Json::Arr(buckets)),
@@ -818,9 +814,7 @@ mod tests {
     #[test]
     fn events_sequence_and_serialize() {
         let mut t = TraceBuffer::with_capacity(8);
-        t.emit_with("ctl", "write", || {
-            obs_fields![("addr", 5u64), ("ok", true)]
-        });
+        t.emit_with("ctl", "write", || obs_fields![("addr", 5u64), ("ok", true)]);
         t.emit("ctl", "flush");
         let lines = t.export_ndjson();
         assert_eq!(
@@ -861,11 +855,17 @@ mod tests {
     fn large_u64_and_hex_fields_round_trip_without_precision_loss() {
         let mut t = TraceBuffer::with_capacity(4);
         t.emit_with("d", "e", || {
-            obs_fields![("big", u64::MAX), ("seed", Field::Hex(0x0123_4567_89ab_cdef))]
+            obs_fields![
+                ("big", u64::MAX),
+                ("seed", Field::Hex(0x0123_4567_89ab_cdef))
+            ]
         });
         let line = t.export_ndjson();
         let doc = &parse_ndjson(&line).unwrap()[0];
-        assert_eq!(doc.get("big").unwrap().as_str().unwrap(), "0xffffffffffffffff");
+        assert_eq!(
+            doc.get("big").unwrap().as_str().unwrap(),
+            "0xffffffffffffffff"
+        );
         assert_eq!(
             doc.get("seed").unwrap().as_str().unwrap(),
             "0x0123456789abcdef"
@@ -929,7 +929,12 @@ mod tests {
         assert_eq!(a.histogram("occ").unwrap().count(), 2);
         // Snapshot is insertion-ordered and omits timers by default.
         let snap = a.snapshot_json(false);
-        let keys: Vec<&str> = snap.entries().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = snap
+            .entries()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, vec!["counters", "histograms"]);
         let counter_keys: Vec<&str> = snap
             .get("counters")
@@ -963,10 +968,7 @@ mod tests {
         m.observe_timer("span", t);
         assert!(m.snapshot_json(false).get("timers").is_none());
         let with = m.snapshot_json(true);
-        assert_eq!(
-            with.get("timers").unwrap().entries().unwrap()[0].0,
-            "span"
-        );
+        assert_eq!(with.get("timers").unwrap().entries().unwrap()[0].0, "span");
     }
 
     #[test]

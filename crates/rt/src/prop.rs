@@ -547,7 +547,11 @@ fn record_regression(path: &PathBuf, name: &str, case_seed: u64, minimal: &impl 
         debug.push('…');
     }
     let debug = debug.replace('\n', " ");
-    if let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(path) {
+    if let Ok(mut f) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+    {
         let _ = writeln!(f, "{name} seed=0x{case_seed:016x}  # shrinks to {debug}");
     }
 }
@@ -738,19 +742,14 @@ mod tests {
         // counterexample must shrink all the way down to exactly 1000.
         let minimal = std::cell::Cell::new(u64::MAX);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            check(
-                "boundary",
-                &Config::with_cases(20),
-                &any::<u64>(),
-                |&v| {
-                    if v >= 1000 {
-                        minimal.set(minimal.get().min(v));
-                        Err(format!("{v} too big"))
-                    } else {
-                        Ok(())
-                    }
-                },
-            );
+            check("boundary", &Config::with_cases(20), &any::<u64>(), |&v| {
+                if v >= 1000 {
+                    minimal.set(minimal.get().min(v));
+                    Err(format!("{v} too big"))
+                } else {
+                    Ok(())
+                }
+            });
         }));
         assert!(result.is_err(), "property must fail");
         assert_eq!(minimal.get(), 1000, "shrinker must reach the boundary");

@@ -169,7 +169,11 @@ impl Poller {
     /// elapses (`None` blocks indefinitely), then fills `events`.
     /// Clears `events` first; returns the number of events delivered.
     /// `EINTR` is retried internally.
-    pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
+    pub fn wait(
+        &mut self,
+        events: &mut Vec<Event>,
+        timeout: Option<Duration>,
+    ) -> io::Result<usize> {
         events.clear();
         match &mut self.backend {
             #[cfg(target_os = "linux")]
@@ -277,7 +281,12 @@ mod epoll {
             Ok(())
         }
 
-        pub(super) fn register(&mut self, fd: RawFd, key: u64, interest: Interest) -> io::Result<()> {
+        pub(super) fn register(
+            &mut self,
+            fd: RawFd,
+            key: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, key, interest)
         }
 
@@ -389,7 +398,12 @@ mod poll {
                 .ok_or_else(|| io::Error::from(io::ErrorKind::NotFound))
         }
 
-        pub(super) fn register(&mut self, fd: RawFd, key: u64, interest: Interest) -> io::Result<()> {
+        pub(super) fn register(
+            &mut self,
+            fd: RawFd,
+            key: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             if self.fds.iter().any(|p| p.fd == fd) {
                 return Err(io::Error::from(io::ErrorKind::AlreadyExists));
             }
@@ -501,10 +515,7 @@ mod tests {
             poller
                 .wait(&mut events, Some(Duration::from_millis(10)))
                 .unwrap();
-            assert!(
-                events.is_empty(),
-                "{backend:?}: spurious events {events:?}"
-            );
+            assert!(events.is_empty(), "{backend:?}: spurious events {events:?}");
 
             let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
             let ev = wait_for_key(&mut poller, 1, 50)

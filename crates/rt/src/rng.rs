@@ -72,10 +72,7 @@ impl Xoshiro256StarStar {
 
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -410,10 +407,7 @@ mod tests {
                 / n as f64;
             let tol = 4.0 * (lambda / n as f64).sqrt().max(0.01);
             assert!((mean - lambda).abs() < tol, "λ={lambda}: mean {mean}");
-            assert!(
-                (var - lambda).abs() < 10.0 * tol,
-                "λ={lambda}: var {var}"
-            );
+            assert!((var - lambda).abs() < 10.0 * tol, "λ={lambda}: var {var}");
         }
     }
 

@@ -26,9 +26,7 @@ where
         1 => vec![f(0)],
         _ => std::thread::scope(|scope| {
             let f = &f;
-            let handles: Vec<_> = (0..tasks)
-                .map(|t| scope.spawn(move || f(t)))
-                .collect();
+            let handles: Vec<_> = (0..tasks).map(|t| scope.spawn(move || f(t))).collect();
             handles
                 .into_iter()
                 .map(|h| match h.join() {

@@ -344,10 +344,8 @@ impl System {
                     // overlap (MLP) and pay 1/mlp of the latency as
                     // visible stall; isolated misses stall fully.
                     let latency = self.memory_read(line, now);
-                    let gap = program
-                        .saturating_sub(self.cores[core_idx].last_miss_program);
-                    let dense = self.cores[core_idx].last_miss_program != u64::MAX
-                        && gap < latency;
+                    let gap = program.saturating_sub(self.cores[core_idx].last_miss_program);
+                    let dense = self.cores[core_idx].last_miss_program != u64::MAX && gap < latency;
                     let charged = if dense {
                         (latency as f64 / self.config.mlp).ceil() as u64
                     } else {

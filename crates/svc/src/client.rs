@@ -138,7 +138,10 @@ pub fn request_with<A: ToSocketAddrs>(
     }
     let mut stream = stream.ok_or_else(|| {
         last.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::AddrNotAvailable, "address resolved to nothing")
+            io::Error::new(
+                io::ErrorKind::AddrNotAvailable,
+                "address resolved to nothing",
+            )
         })
     })?;
     stream.set_read_timeout(Some(config.read_timeout))?;

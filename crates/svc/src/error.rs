@@ -78,7 +78,10 @@ impl fmt::Display for SvcError {
                 "job queue is full; retry after {RETRY_AFTER_SECS}s (see Retry-After)"
             ),
             SvcError::Draining => {
-                write!(f, "server is draining: finishing accepted jobs, not taking new ones")
+                write!(
+                    f,
+                    "server is draining: finishing accepted jobs, not taking new ones"
+                )
             }
             SvcError::JobFailed(what) => write!(f, "{what}"),
         }
@@ -100,10 +103,7 @@ mod tests {
                 SvcError::BadRequest("field 'fit' must be a positive number".into()),
                 "bad request: field 'fit' must be a positive number",
             ),
-            (
-                SvcError::NotFound("job 7".into()),
-                "not found: job 7",
-            ),
+            (SvcError::NotFound("job 7".into()), "not found: job 7"),
             (
                 SvcError::MethodNotAllowed {
                     method: "PUT".into(),

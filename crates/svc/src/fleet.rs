@@ -220,10 +220,7 @@ impl BlockScheduler {
         self.leases = alive;
         for lease in dead {
             for b in lease.lo..lease.hi {
-                let covered = self
-                    .leases
-                    .iter()
-                    .any(|l| (l.lo..l.hi).contains(&b));
+                let covered = self.leases.iter().any(|l| (l.lo..l.hi).contains(&b));
                 if !self.done[b as usize] && !covered && !self.pending.contains(&b) {
                     self.pending.push_back(b);
                     self.reassigned_blocks += 1;
@@ -299,8 +296,12 @@ struct FleetShared {
 /// one `{worker="…"}` series per registered worker.
 fn render_metrics(state: &FleetState) -> String {
     let s = &state.scheduler;
-    let (total, in_flight, lag, reassigned) =
-        (s.total(), s.in_flight(), s.merge_lag(), s.reassigned_blocks());
+    let (total, in_flight, lag, reassigned) = (
+        s.total(),
+        s.in_flight(),
+        s.merge_lag(),
+        s.reassigned_blocks(),
+    );
     let alive = state.workers.iter().filter(|w| w.alive).count();
     let mut text = String::new();
     for (name, kind, value) in [
@@ -611,7 +612,13 @@ fn register_from_request(body: &[u8], shared: &FleetShared) -> Result<usize, Svc
         .get("addr")
         .and_then(Json::as_str)
         .ok_or_else(|| SvcError::BadRequest("registration needs an 'addr' field".into()))?;
-    if addr.to_socket_addrs().map(|mut a| a.next()).ok().flatten().is_none() {
+    if addr
+        .to_socket_addrs()
+        .map(|mut a| a.next())
+        .ok()
+        .flatten()
+        .is_none()
+    {
         return Err(SvcError::BadRequest(format!(
             "worker addr '{addr}' does not resolve"
         )));

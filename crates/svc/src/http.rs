@@ -131,7 +131,10 @@ fn body_length(request: &Request, limits: &ReadLimits) -> Result<usize, SvcError
 /// buffered (`consumed` bytes belong to it), `Ok(None)` when more bytes
 /// are needed, and the pinned [`SvcError`] on oversized or malformed
 /// input.
-pub fn parse_request(buf: &[u8], limits: &ReadLimits) -> Result<Option<(Request, usize)>, SvcError> {
+pub fn parse_request(
+    buf: &[u8],
+    limits: &ReadLimits,
+) -> Result<Option<(Request, usize)>, SvcError> {
     let Some(head_end) = find_head_end(buf) else {
         if buf.len() >= limits.max_head_bytes {
             return Err(SvcError::PayloadTooLarge {

@@ -66,9 +66,7 @@ pub fn submit_burst(addr: SocketAddr, config: &Json, clients: usize) -> LoadRepo
                     .ok()
                     .and_then(|j| j.get("job").and_then(|v| v.as_f64()))
                     .map(|n| n as usize);
-                let retry_after_secs = resp
-                    .header("retry-after")
-                    .and_then(|v| v.parse().ok());
+                let retry_after_secs = resp.header("retry-after").and_then(|v| v.parse().ok());
                 SubmitOutcome {
                     status: resp.status,
                     job: if resp.status == 202 { job } else { None },

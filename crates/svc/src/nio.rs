@@ -113,10 +113,7 @@ enum Phase {
     Reading,
     /// Oversized body rejected; discarding the declared remainder
     /// (bounded) so the close does not RST the 413 away.
-    DrainingBody {
-        budget: usize,
-        err: SvcError,
-    },
+    DrainingBody { budget: usize, err: SvcError },
     /// Routed, its [`Reply`] held by the plane; out of the poller.
     Parked { path: String },
     /// Response rendered; flushing `out`.
@@ -273,8 +270,7 @@ impl Conn {
                 Err(_) => settle = true,
             }
         }
-        let Phase::DrainingBody { err, .. } =
-            std::mem::replace(&mut self.phase, Phase::Writing)
+        let Phase::DrainingBody { err, .. } = std::mem::replace(&mut self.phase, Phase::Writing)
         else {
             return Next::Keep;
         };

@@ -182,7 +182,12 @@ impl ServerHandle {
 
     /// How many jobs and `/v1/blocks` shards have ever been accepted.
     pub fn job_count(&self) -> usize {
-        self.shared.state.lock().unwrap().metrics.counter("jobs_submitted") as usize
+        self.shared
+            .state
+            .lock()
+            .unwrap()
+            .metrics
+            .counter("jobs_submitted") as usize
     }
 
     /// Jobs accepted but not yet claimed by a worker.
@@ -498,7 +503,9 @@ fn job_endpoint(shared: &Shared, path: &str, later: Reply) -> Result<Option<Resp
         None => (rest, None),
     };
     let id: usize = id_text.parse().map_err(|_| {
-        SvcError::BadRequest(format!("job id must be a non-negative integer, got '{id_text}'"))
+        SvcError::BadRequest(format!(
+            "job id must be a non-negative integer, got '{id_text}'"
+        ))
     })?;
     let mut st = shared.state.lock().unwrap();
     let job = st

@@ -76,13 +76,17 @@ fn run_fleet(
 
 #[test]
 fn fleet_campaign_is_byte_identical_to_single_node() {
-    let body = Json::parse(r#"{"fit": 1500, "iterations": 192, "threads": 2, "seed": 42}"#).unwrap();
+    let body =
+        Json::parse(r#"{"fit": 1500, "iterations": 192, "threads": 2, "seed": 42}"#).unwrap();
     let expected = run_spec(&JobSpec::Campaign(config_from_json(&body).unwrap()));
 
     let workers: Vec<_> = (0..3).map(|_| boot_worker()).collect();
     let addrs: Vec<_> = workers.iter().map(|(a, _, _)| *a).collect();
     let got = run_fleet("campaign", &body, &addrs, fast_fleet_config(3, 1));
-    assert_eq!(got, expected, "3-worker campaign merge must match single-node bytes");
+    assert_eq!(
+        got, expected,
+        "3-worker campaign merge must match single-node bytes"
+    );
     // Shards are answered, never kept as jobs.
     for addr in &addrs {
         let metrics = soteria_svc::client::get(addr, "/metrics").unwrap().text();
@@ -112,9 +116,15 @@ fn fleet_compare_and_crashck_are_byte_identical_to_single_node() {
     let workers: Vec<_> = (0..2).map(|_| boot_worker()).collect();
     let addrs: Vec<_> = workers.iter().map(|(a, _, _)| *a).collect();
     let got_compare = run_fleet("compare", &compare_body, &addrs, fast_fleet_config(2, 1));
-    assert_eq!(got_compare, expected_compare, "compare merge must match single-node bytes");
+    assert_eq!(
+        got_compare, expected_compare,
+        "compare merge must match single-node bytes"
+    );
     let got_crashck = run_fleet("crashck", &crashck_body, &addrs, fast_fleet_config(2, 4));
-    assert_eq!(got_crashck, expected_crashck, "crashck merge must match single-node bytes");
+    assert_eq!(
+        got_crashck, expected_crashck,
+        "crashck merge must match single-node bytes"
+    );
 
     for (_, handle, join) in workers {
         handle.shutdown();

@@ -69,7 +69,10 @@ fn backpressure_burst_then_graceful_drain() {
     }
     let accepted = report.accepted_jobs();
     assert!(!accepted.is_empty(), "some submissions must be accepted");
-    assert!(report.rejected() >= 1, "a full queue must shed at least one");
+    assert!(
+        report.rejected() >= 1,
+        "a full queue must shed at least one"
+    );
     assert_eq!(accepted.len() + report.rejected(), 16);
 
     // No lost or duplicated jobs: the accepted ids are exactly
@@ -88,7 +91,13 @@ fn backpressure_burst_then_graceful_drain() {
     let refused = client::post_json(addr, "/v1/campaigns", &slow_campaign()).unwrap();
     assert_eq!(refused.status, 503);
     assert_eq!(
-        refused.json().unwrap().get("error").unwrap().as_str().unwrap(),
+        refused
+            .json()
+            .unwrap()
+            .get("error")
+            .unwrap()
+            .as_str()
+            .unwrap(),
         "server is draining: finishing accepted jobs, not taking new ones"
     );
     assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
@@ -122,7 +131,13 @@ fn http_artifacts_match_cli_bytes() {
 
     let accepted = client::post_json(addr, "/v1/campaigns", &body).unwrap();
     assert_eq!(accepted.status, 202);
-    let id = accepted.json().unwrap().get("job").unwrap().as_f64().unwrap() as usize;
+    let id = accepted
+        .json()
+        .unwrap()
+        .get("job")
+        .unwrap()
+        .as_f64()
+        .unwrap() as usize;
     wait_until("job to finish", Duration::from_secs(30), || {
         handle.job_state(id) == Some(JobState::Done)
     });
@@ -130,7 +145,13 @@ fn http_artifacts_match_cli_bytes() {
     let status = client::get(addr, &format!("/v1/jobs/{id}")).unwrap();
     assert_eq!(status.status, 200);
     assert_eq!(
-        status.json().unwrap().get("status").unwrap().as_str().unwrap(),
+        status
+            .json()
+            .unwrap()
+            .get("status")
+            .unwrap()
+            .as_str()
+            .unwrap(),
         "done"
     );
 
@@ -167,7 +188,13 @@ fn compare_artifacts_match_cli_bytes() {
 
     let accepted = client::post_json(addr, "/v1/compare", &body).unwrap();
     assert_eq!(accepted.status, 202);
-    let id = accepted.json().unwrap().get("job").unwrap().as_f64().unwrap() as usize;
+    let id = accepted
+        .json()
+        .unwrap()
+        .get("job")
+        .unwrap()
+        .as_f64()
+        .unwrap() as usize;
     wait_until("compare job to finish", Duration::from_secs(60), || {
         handle.job_state(id) == Some(JobState::Done)
     });
@@ -282,9 +309,14 @@ fn error_paths_return_pinned_messages() {
         .unwrap();
     let mut raw = String::new();
     stream.read_to_string(&mut raw).unwrap();
-    assert!(raw.starts_with("HTTP/1.1 408 Request Timeout"), "got: {raw}");
     assert!(
-        raw.contains("request timed out: send the complete request within the server's read timeout"),
+        raw.starts_with("HTTP/1.1 408 Request Timeout"),
+        "got: {raw}"
+    );
+    assert!(
+        raw.contains(
+            "request timed out: send the complete request within the server's read timeout"
+        ),
         "got: {raw}"
     );
 
@@ -308,14 +340,18 @@ fn metrics_expose_and_parse() {
         assert_eq!(client::get(addr, "/healthz").unwrap().status, 200);
     }
     assert_eq!(
-        client::post_json(addr, "/v1/campaigns", &slow_campaign()).unwrap().status,
+        client::post_json(addr, "/v1/campaigns", &slow_campaign())
+            .unwrap()
+            .status,
         202
     );
     wait_until("worker to claim job 0", Duration::from_secs(10), || {
         handle.job_state(0) == Some(JobState::Running)
     });
     assert_eq!(
-        client::post_json(addr, "/v1/campaigns", &slow_campaign()).unwrap().status,
+        client::post_json(addr, "/v1/campaigns", &slow_campaign())
+            .unwrap()
+            .status,
         202
     );
     let shed = client::post_json(addr, "/v1/campaigns", &slow_campaign()).unwrap();
@@ -347,7 +383,9 @@ fn metrics_expose_and_parse() {
             continue;
         }
         let (series, value) = line.rsplit_once(' ').expect("sample line has a value");
-        let value: f64 = value.parse().unwrap_or_else(|_| panic!("bad value: {line}"));
+        let value: f64 = value
+            .parse()
+            .unwrap_or_else(|_| panic!("bad value: {line}"));
         assert!(value.is_finite(), "non-finite sample: {line}");
         samples.push((series.to_string(), value));
     }

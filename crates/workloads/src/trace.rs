@@ -102,7 +102,11 @@ impl ReplayWorkload {
                 std::io::Error::new(std::io::ErrorKind::InvalidData, "truncated trace body")
             })?;
             let addr = u64::from_le_bytes(buf[..8].try_into().expect("8 bytes"));
-            let kind = if buf[8] == 0 { OpKind::Read } else { OpKind::Write };
+            let kind = if buf[8] == 0 {
+                OpKind::Read
+            } else {
+                OpKind::Write
+            };
             let persistent = buf[9] != 0;
             let think = u32::from_le_bytes(buf[10..14].try_into().expect("4 bytes"));
             footprint = footprint.max(addr + 64);

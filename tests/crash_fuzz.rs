@@ -39,8 +39,10 @@ fn build(update: TreeUpdate, policy: CloningPolicy) -> SecureMemoryController {
 }
 
 fn cfg() -> Config {
-    Config::with_cases(10)
-        .regressions(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/crash_fuzz.regressions"))
+    Config::with_cases(10).regressions(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/crash_fuzz.regressions"
+    ))
 }
 
 fn run_crash_fuzz(
@@ -80,7 +82,10 @@ fn lazy_baseline_survives_any_crash_point() {
     check(
         "lazy_baseline_survives_any_crash_point",
         &cfg(),
-        &(vec((any::<u64>(), any::<u8>()), 1..150usize), any::<usize>()),
+        &(
+            vec((any::<u64>(), any::<u8>()), 1..150usize),
+            any::<usize>(),
+        ),
         |(ops, crash_at)| run_crash_fuzz(TreeUpdate::Lazy, CloningPolicy::None, ops, *crash_at),
     );
 }
@@ -90,7 +95,10 @@ fn lazy_src_survives_any_crash_point() {
     check(
         "lazy_src_survives_any_crash_point",
         &cfg(),
-        &(vec((any::<u64>(), any::<u8>()), 1..150usize), any::<usize>()),
+        &(
+            vec((any::<u64>(), any::<u8>()), 1..150usize),
+            any::<usize>(),
+        ),
         |(ops, crash_at)| run_crash_fuzz(TreeUpdate::Lazy, CloningPolicy::Relaxed, ops, *crash_at),
     );
 }
@@ -100,7 +108,10 @@ fn triad_survives_any_crash_point() {
     check(
         "triad_survives_any_crash_point",
         &cfg(),
-        &(vec((any::<u64>(), any::<u8>()), 1..120usize), any::<usize>()),
+        &(
+            vec((any::<u64>(), any::<u8>()), 1..120usize),
+            any::<usize>(),
+        ),
         |(ops, crash_at)| {
             run_crash_fuzz(
                 TreeUpdate::Triad { persist_levels: 1 },
@@ -117,7 +128,10 @@ fn eager_survives_any_crash_point() {
     check(
         "eager_survives_any_crash_point",
         &cfg(),
-        &(vec((any::<u64>(), any::<u8>()), 1..100usize), any::<usize>()),
+        &(
+            vec((any::<u64>(), any::<u8>()), 1..100usize),
+            any::<usize>(),
+        ),
         |(ops, crash_at)| {
             run_crash_fuzz(TreeUpdate::Eager, CloningPolicy::Aggressive, ops, *crash_at)
         },

@@ -181,7 +181,10 @@ fn analysis_lost_blocks_match_device_reads_exactly() {
     let geometry = {
         let banks = 16u32;
         let cols = 1024u32;
-        let rows = layout.total_lines().div_ceil(banks as u64 * cols as u64).max(1) as u32;
+        let rows = layout
+            .total_lines()
+            .div_ceil(banks as u64 * cols as u64)
+            .max(1) as u32;
         DimmGeometry::new(18, 9, 2, banks, rows, cols)
     };
     let rates = FitRates::hopper().scaled_to(2_000_000.0); // dense faults
@@ -216,7 +219,10 @@ fn analysis_lost_blocks_match_device_reads_exactly() {
             nontrivial += 1;
         }
     }
-    assert!(nontrivial >= 2, "fault density too low to exercise the check");
+    assert!(
+        nontrivial >= 2,
+        "fault density too low to exercise the check"
+    );
 }
 
 #[test]

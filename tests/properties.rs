@@ -31,8 +31,10 @@ use soteria_suite::soteria_rt::{prop_assert, prop_assert_eq};
 
 /// Shared config: `cases` novel cases plus replay of the corpus.
 fn cfg(cases: u32) -> Config {
-    Config::with_cases(cases)
-        .regressions(concat!(env!("CARGO_MANIFEST_DIR"), "/tests/properties.regressions"))
+    Config::with_cases(cases).regressions(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/properties.regressions"
+    ))
 }
 
 #[test]
@@ -278,7 +280,12 @@ fn morphable_counters_never_repeat() {
             }
             for &line in lines {
                 let c = block.bump(line).counter();
-                prop_assert!(seen[line].insert(c), "counter {} reused for line {}", c, line);
+                prop_assert!(
+                    seen[line].insert(c),
+                    "counter {} reused for line {}",
+                    c,
+                    line
+                );
             }
             Ok(())
         },
@@ -344,8 +351,8 @@ fn counter_block_legacy_proptest_regression() {
     let major = 144115188075855872u64; // 1 << 57
     let mut minors = [0u8; 64];
     let tail: [u8; 33] = [
-        48, 43, 21, 98, 63, 17, 126, 113, 48, 31, 112, 108, 29, 23, 34, 46, 39, 41, 19, 123,
-        61, 105, 9, 61, 47, 94, 94, 80, 90, 2, 102, 31, 4,
+        48, 43, 21, 98, 63, 17, 126, 113, 48, 31, 112, 108, 29, 23, 34, 46, 39, 41, 19, 123, 61,
+        105, 9, 61, 47, 94, 94, 80, 90, 2, 102, 31, 4,
     ];
     minors[31..].copy_from_slice(&tail);
     counter_block_roundtrip_case(major, &minors).expect("legacy regression case must pass");
@@ -536,10 +543,10 @@ fn gf256_table_mul_div_match_bitwise_reference() {
                 // Division is the exact inverse of the table multiply.
                 prop_assert_eq!(prod / Gf256::new(b), Gf256::new(a));
                 let q = Gf256::new(a) / Gf256::new(b);
-                prop_assert_eq!(q.value(), slow_mul(
-                    a as u16,
-                    Gf256::new(b).inverse().value() as u16
-                ));
+                prop_assert_eq!(
+                    q.value(),
+                    slow_mul(a as u16, Gf256::new(b).inverse().value() as u16)
+                );
             }
             Ok(())
         },
@@ -563,8 +570,7 @@ fn start_gap_full_rotation_is_a_full_permutation() {
             let mut lv = StartGapLeveler::new(lines, interval);
             // positions[l]: the sequence of distinct physical slots line
             // l's data occupies, starting from the identity mapping.
-            let mut positions: Vec<Vec<u64>> =
-                (0..lines).map(|l| vec![lv.translate(l)]).collect();
+            let mut positions: Vec<Vec<u64>> = (0..lines).map(|l| vec![lv.translate(l)]).collect();
             let rotation_moves = lines * (lines + 1);
             while lv.total_moves() < rotation_moves {
                 if lv.record_write().is_some() {
@@ -595,8 +601,7 @@ fn start_gap_full_rotation_is_a_full_permutation() {
                     visited.len(),
                     lines + 2
                 );
-                let distinct: std::collections::BTreeSet<u64> =
-                    visited.iter().copied().collect();
+                let distinct: std::collections::BTreeSet<u64> = visited.iter().copied().collect();
                 prop_assert_eq!(
                     distinct,
                     (0..=lines).collect::<std::collections::BTreeSet<u64>>(),
@@ -620,8 +625,26 @@ struct JsonStrategy {
 impl JsonStrategy {
     /// Characters the writer must escape or pass through verbatim.
     const CHAR_POOL: &'static [char] = &[
-        'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{08}', '\u{0c}', '\u{00}',
-        '\u{1f}', 'é', 'λ', '漢', '\u{2028}', '😀', '\u{10fffd}',
+        'a',
+        'Z',
+        '0',
+        ' ',
+        '/',
+        '"',
+        '\\',
+        '\n',
+        '\r',
+        '\t',
+        '\u{08}',
+        '\u{0c}',
+        '\u{00}',
+        '\u{1f}',
+        'é',
+        'λ',
+        '漢',
+        '\u{2028}',
+        '😀',
+        '\u{10fffd}',
     ];
 
     fn gen_string(rng: &mut StdRng) -> String {
@@ -782,11 +805,7 @@ fn crashck_scripts_observe_a_prefix_of_committed_transactions() {
     // repeated bumps of one counter slot, crashes between a commit group
     // and its eager tree propagation).
     use soteria_suite::soteria_faultsim::crashck::sweep_cell;
-    const CELLS: [(&str, &str); 3] = [
-        ("lazy", "anubis"),
-        ("eager", "anubis"),
-        ("lazy", "osiris"),
-    ];
+    const CELLS: [(&str, &str); 3] = [("lazy", "anubis"), ("eager", "anubis"), ("lazy", "osiris")];
     check(
         "crashck_scripts_observe_a_prefix_of_committed_transactions",
         &cfg(3),
@@ -858,9 +877,9 @@ fn every_scheme_recovers_exactly_the_committed_prefix() {
                 );
                 let mut recovered = 0u64;
                 for line in 0..80u64 {
-                    let got = memory
-                        .read(DataAddr::new(line))
-                        .map_err(|e| format!("{}: post-recovery read {line}: {e}", scheme.name()))?;
+                    let got = memory.read(DataAddr::new(line)).map_err(|e| {
+                        format!("{}: post-recovery read {line}: {e}", scheme.name())
+                    })?;
                     match model.get(&line) {
                         Some(&fill) => {
                             prop_assert_eq!(
@@ -1011,7 +1030,6 @@ fn any_fleet_schedule_merges_to_single_node_bytes() {
         },
     );
 }
-
 
 /// One input for a parser that faces the network: raw request bytes for
 /// `http::parse_request`, a kind name and config body for the job-kind

@@ -43,8 +43,10 @@ fn table3_system_runs_four_cores_at_16gb() {
         })
         .collect();
     let r = {
-        let mut refs: Vec<&mut dyn Workload> =
-            instances.iter_mut().map(|w| &mut **w as &mut dyn Workload).collect();
+        let mut refs: Vec<&mut dyn Workload> = instances
+            .iter_mut()
+            .map(|w| &mut **w as &mut dyn Workload)
+            .collect();
         system.run_multi(&mut refs, 5_000)
     };
     assert_eq!(r.ops, 20_000);
