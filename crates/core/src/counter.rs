@@ -26,6 +26,10 @@ pub const MINORS: usize = 64;
 pub const MINOR_BITS: u32 = 7;
 /// Exclusive upper bound of a minor counter.
 pub const MINOR_LIMIT: u8 = 1 << MINOR_BITS; // 128
+/// Minors packed per 56-bit word of the serialized block.
+const MINORS_PER_WORD: usize = 8;
+/// Bytes of one packed word (8 minors × 7 bits).
+const WORD_BYTES: usize = 7;
 
 /// Result of bumping a minor counter.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,20 +118,36 @@ impl CounterBlock {
         }
     }
 
+    /// Sets the minor counter of `slot` (recovery rebuilding a block it
+    /// could not bump: the stored minor plus the trials that matched).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= 64` or `minor >= MINOR_LIMIT`.
+    pub fn set_minor(&mut self, slot: usize, minor: u8) {
+        assert!(minor < MINOR_LIMIT, "minor {minor} exceeds 7 bits");
+        self.minors[slot] = minor;
+    }
+
+    /// Sets the major counter, leaving the minors as they are.
+    pub fn set_major(&mut self, major: u64) {
+        self.major = major;
+    }
+
     /// Serializes into a 64-byte line: major (8 B LE) then the 64 minors
-    /// packed 7 bits each (56 B).
+    /// packed 7 bits each (56 B), little-endian bit order. Eight minors
+    /// fill exactly one 56-bit word, so each group of eight packs into a
+    /// `u64` and is stored as 7 bytes.
     pub fn to_bytes(&self) -> [u8; 64] {
         let mut out = [0u8; 64];
         out[..8].copy_from_slice(&self.major.to_le_bytes());
-        let mut bitpos = 0usize;
-        for &m in &self.minors {
-            let byte = 8 + bitpos / 8;
-            let shift = bitpos % 8;
-            out[byte] |= m << shift;
-            if shift > 1 {
-                out[byte + 1] |= m >> (8 - shift);
-            }
-            bitpos += MINOR_BITS as usize;
+        for (group, minors) in self.minors.chunks_exact(MINORS_PER_WORD).enumerate() {
+            let word = minors
+                .iter()
+                .rev()
+                .fold(0u64, |w, &m| (w << MINOR_BITS) | u64::from(m));
+            let at = 8 + group * WORD_BYTES;
+            out[at..at + WORD_BYTES].copy_from_slice(&word.to_le_bytes()[..WORD_BYTES]);
         }
         out
     }
@@ -136,16 +156,15 @@ impl CounterBlock {
     pub fn from_bytes(bytes: &[u8; 64]) -> Self {
         let major = soteria_rt::bytes::u64_le(&bytes[..8]);
         let mut minors = [0u8; MINORS];
-        let mut bitpos = 0usize;
-        for m in &mut minors {
-            let byte = 8 + bitpos / 8;
-            let shift = bitpos % 8;
-            let mut v = (bytes[byte] >> shift) as u16;
-            if shift > 1 {
-                v |= (bytes[byte + 1] as u16) << (8 - shift);
+        for (group, minors) in minors.chunks_exact_mut(MINORS_PER_WORD).enumerate() {
+            let at = 8 + group * WORD_BYTES;
+            let mut le = [0u8; 8];
+            le[..WORD_BYTES].copy_from_slice(&bytes[at..at + WORD_BYTES]);
+            let mut word = u64::from_le_bytes(le);
+            for m in minors {
+                *m = (word & (MINOR_LIMIT as u64 - 1)) as u8;
+                word >>= MINOR_BITS;
             }
-            *m = (v & (MINOR_LIMIT as u16 - 1)) as u8;
-            bitpos += MINOR_BITS as usize;
         }
         Self { major, minors }
     }
@@ -220,6 +239,86 @@ mod tests {
         b.minors = [MINOR_LIMIT - 1; MINORS];
         b.major = u64::MAX;
         assert_eq!(CounterBlock::from_bytes(&b.to_bytes()), b);
+    }
+
+    /// The bit-serial codec the word-wise one replaced, kept as the
+    /// reference it must match.
+    fn to_bytes_bitwise(block: &CounterBlock) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        out[..8].copy_from_slice(&block.major.to_le_bytes());
+        let mut bitpos = 0usize;
+        for &m in &block.minors {
+            let byte = 8 + bitpos / 8;
+            let shift = bitpos % 8;
+            out[byte] |= m << shift;
+            if shift > 1 {
+                out[byte + 1] |= m >> (8 - shift);
+            }
+            bitpos += MINOR_BITS as usize;
+        }
+        out
+    }
+
+    fn from_bytes_bitwise(bytes: &[u8; 64]) -> CounterBlock {
+        let major = soteria_rt::bytes::u64_le(&bytes[..8]);
+        let mut minors = [0u8; MINORS];
+        let mut bitpos = 0usize;
+        for m in &mut minors {
+            let byte = 8 + bitpos / 8;
+            let shift = bitpos % 8;
+            let mut v = (bytes[byte] >> shift) as u16;
+            if shift > 1 {
+                v |= (bytes[byte + 1] as u16) << (8 - shift);
+            }
+            *m = (v & (MINOR_LIMIT as u16 - 1)) as u8;
+            bitpos += MINOR_BITS as usize;
+        }
+        CounterBlock { major, minors }
+    }
+
+    #[test]
+    fn codec_matches_the_bit_serial_reference() {
+        use soteria_rt::prop::{any, array, check, vec, Config};
+        use soteria_rt::prop_assert_eq;
+        check(
+            "counter_codec_matches_the_bit_serial_reference",
+            &Config::with_cases(256),
+            &(
+                any::<u64>(),
+                vec(0u8..MINOR_LIMIT, 64usize),
+                array::<_, 64>(any::<u8>()),
+            ),
+            |(major, minors, line)| {
+                let mut block = CounterBlock::new();
+                block.set_major(*major);
+                for (slot, &m) in minors.iter().enumerate() {
+                    block.set_minor(slot, m);
+                }
+                prop_assert_eq!(block.to_bytes(), to_bytes_bitwise(&block));
+                prop_assert_eq!(CounterBlock::from_bytes(line), from_bytes_bitwise(line));
+                prop_assert_eq!(CounterBlock::from_bytes(&block.to_bytes()), block);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn setters_change_one_field() {
+        let mut b = CounterBlock::new();
+        b.bump(3);
+        b.set_minor(9, 127);
+        b.set_major(7);
+        assert_eq!(
+            (b.major(), b.minor(3), b.minor(9), b.minor(10)),
+            (7, 1, 127, 0)
+        );
+        assert_eq!(b.counter(9), 7 * 128 + 127);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 7 bits")]
+    fn set_minor_rejects_eight_bits() {
+        CounterBlock::new().set_minor(0, MINOR_LIMIT);
     }
 
     #[test]

@@ -21,8 +21,8 @@ pub struct CachedBlock {
     pub data: [u8; 64],
     /// Modified since fetch (write-back pending). Private so every
     /// transition goes through [`MetadataCache::mark_dirty`] /
-    /// [`MetadataCache::mark_clean`], which keep the incremental dirty
-    /// index consistent with the flag.
+    /// [`MetadataCache::mark_clean`], which keep the cache's dirty bitset
+    /// consistent with the flag.
     dirty: bool,
     /// Per-slot update counts since the last writeback (Osiris bounds
     /// counter trials by bounding in-cache updates). Only meaningful for
@@ -54,13 +54,6 @@ impl CachedBlock {
     pub fn is_dirty(&self) -> bool {
         self.dirty
     }
-}
-
-#[derive(Clone, Debug)]
-struct Entry {
-    addr: LineAddr,
-    block: CachedBlock,
-    last_use: u64,
 }
 
 /// A block evicted to make room, together with its former shadow slot.
@@ -99,29 +92,31 @@ impl CacheStats {
     }
 }
 
+/// Tag of a vacant way. No line address reaches it: [`MetadataCache::insert`]
+/// rejects it, and lookups of it miss.
+const VACANT: u64 = u64::MAX;
+
 /// Set-associative write-back metadata cache with LRU replacement.
 ///
-/// Residency is tracked by a tag **index** (address → global slot), so
-/// `slot_of` / `contains` / `lookup` / `peek` resolve without scanning
-/// the ways of a set; the set vectors remain the source of truth for LRU
-/// and eviction. Nothing ever iterates the index, so the hash map's
-/// nondeterministic iteration order cannot leak into simulation results.
+/// Every per-slot field lives in its own array indexed by global slot
+/// (`set * ways + way`): the tags, the blocks, the last-use ticks and a
+/// dirty bitset. A lookup scans its set's contiguous tags (one 64-byte
+/// line for 8 ways), and nothing is hashed, so no iteration order other
+/// than slot order exists.
 #[derive(Clone, Debug)]
 pub struct MetadataCache {
-    sets: Vec<Vec<Option<Entry>>>,
     ways: usize,
+    set_mask: u64,
+    tags: Vec<u64>,
+    blocks: Vec<Option<CachedBlock>>,
+    last_use: Vec<u64>,
+    // One bit per slot, set while its resident block is dirty. Ascending
+    // bit order is ascending slot order, which IS the documented
+    // set-major, way-minor `dirty_addrs()` contract.
+    dirty: Vec<u64>,
+    resident: usize,
     tick: u64,
     stats: CacheStats,
-    // Nothing iterates the index (see the type docs above), so hash
-    // order cannot leak into simulation results.
-    // lint:allow(D2, keyed-access tag index is never iterated)
-    index: std::collections::HashMap<LineAddr, u32>,
-    // Incrementally maintained dirty index: the global slot of every
-    // dirty resident block. A BTreeSet iterates in ascending slot order,
-    // which IS the documented set-major, way-minor `dirty_addrs()`
-    // contract — so the dirty scan costs O(dirty · log) instead of a
-    // linear walk of every way, and stays fully deterministic.
-    dirty_slots: std::collections::BTreeSet<u32>,
 }
 
 impl MetadataCache {
@@ -141,14 +136,17 @@ impl MetadataCache {
             sets.is_power_of_two(),
             "set count {sets} must be a power of two"
         );
+        let slots = sets * ways;
         Self {
-            sets: vec![vec![None; ways]; sets],
             ways,
+            set_mask: sets as u64 - 1,
+            tags: vec![VACANT; slots],
+            blocks: vec![None; slots],
+            last_use: vec![0; slots],
+            dirty: vec![0; slots.div_ceil(64)],
+            resident: 0,
             tick: 0,
             stats: CacheStats::default(),
-            // lint:allow(D2, keyed-access tag index is never iterated)
-            index: std::collections::HashMap::with_capacity(sets * ways),
-            dirty_slots: std::collections::BTreeSet::new(),
         }
     }
 
@@ -159,7 +157,7 @@ impl MetadataCache {
 
     /// Number of sets.
     pub fn set_count(&self) -> usize {
-        self.sets.len()
+        self.tags.len() / self.ways
     }
 
     /// Associativity.
@@ -169,7 +167,7 @@ impl MetadataCache {
 
     /// Total slots (= Anubis shadow-table size).
     pub fn slots(&self) -> u64 {
-        (self.sets.len() * self.ways) as u64
+        self.tags.len() as u64
     }
 
     /// Statistics so far.
@@ -177,40 +175,50 @@ impl MetadataCache {
         self.stats
     }
 
-    fn set_of(&self, addr: LineAddr) -> usize {
-        (addr.index() % self.sets.len() as u64) as usize
+    /// The first global slot of `addr`'s set.
+    fn set_base(&self, addr: LineAddr) -> usize {
+        (addr.index() & self.set_mask) as usize * self.ways
+    }
+
+    /// The global slot holding `addr`, found by scanning its set's tags.
+    fn find(&self, addr: LineAddr) -> Option<usize> {
+        if addr.index() == VACANT {
+            return None;
+        }
+        let base = self.set_base(addr);
+        self.tags[base..base + self.ways]
+            .iter()
+            .position(|&tag| tag == addr.index())
+            .map(|way| base + way)
+    }
+
+    fn set_dirty_bit(&mut self, slot: usize, dirty: bool) {
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if dirty {
+            self.dirty[word] |= bit;
+        } else {
+            self.dirty[word] &= !bit;
+        }
     }
 
     /// The shadow slot a resident block occupies, if cached.
     pub fn slot_of(&self, addr: LineAddr) -> Option<u64> {
-        self.index.get(&addr).map(|&slot| slot as u64)
+        self.find(addr).map(|slot| slot as u64)
     }
 
     /// Returns `true` if `addr` is resident (without touching LRU state).
     pub fn contains(&self, addr: LineAddr) -> bool {
-        self.index.contains_key(&addr)
-    }
-
-    /// Splits a global slot back into its (set, way) coordinates.
-    fn coords(&self, slot: u32) -> (usize, usize) {
-        (slot as usize / self.ways, slot as usize % self.ways)
+        self.find(addr).is_some()
     }
 
     /// Looks up a block, updating LRU and hit/miss statistics.
     pub fn lookup(&mut self, addr: LineAddr) -> Option<&mut CachedBlock> {
         self.tick += 1;
-        let tick = self.tick;
-        match self.index.get(&addr) {
-            Some(&slot) => {
-                let (set, way) = self.coords(slot);
-                let e = self.sets[set][way]
-                    .as_mut()
-                    // lint:allow(P1, the index maps only to occupied slots)
-                    .expect("indexed slot is occupied");
-                debug_assert_eq!(e.addr, addr);
-                e.last_use = tick;
+        match self.find(addr) {
+            Some(slot) => {
+                self.last_use[slot] = self.tick;
                 self.stats.hits += 1;
-                Some(&mut e.block)
+                self.blocks[slot].as_mut()
             }
             None => {
                 self.stats.misses += 1;
@@ -221,16 +229,13 @@ impl MetadataCache {
 
     /// Peeks at a block without LRU/stat side effects.
     pub fn peek(&self, addr: LineAddr) -> Option<&CachedBlock> {
-        let &slot = self.index.get(&addr)?;
-        let (set, way) = self.coords(slot);
-        self.sets[set][way].as_ref().map(|e| &e.block)
+        self.blocks[self.find(addr)?].as_ref()
     }
 
     /// Mutably peeks at a block without LRU/stat side effects.
     pub fn peek_mut(&mut self, addr: LineAddr) -> Option<&mut CachedBlock> {
-        let &slot = self.index.get(&addr)?;
-        let (set, way) = self.coords(slot);
-        self.sets[set][way].as_mut().map(|e| &mut e.block)
+        let slot = self.find(addr)?;
+        self.blocks[slot].as_mut()
     }
 
     /// Inserts a block, evicting the LRU non-pinned entry if the set is
@@ -239,106 +244,81 @@ impl MetadataCache {
     ///
     /// # Panics
     ///
-    /// Panics if `addr` is already resident, or if every way of the set is
-    /// pinned (cannot happen when pins are bounded by tree depth and the
-    /// associativity covers it — asserted rather than silently mishandled).
+    /// Panics if `addr` is already resident or is `u64::MAX`, or if every
+    /// way of the set is pinned. Pins are not bounded by tree depth:
+    /// nested writebacks share one pin list, so a small or low-way cache
+    /// can pin a whole set, and shapes that `SecureMemoryConfig::build`
+    /// accepts reach this panic (ROADMAP item 1).
     pub fn insert(
         &mut self,
         addr: LineAddr,
         block: CachedBlock,
         pinned: &[LineAddr],
     ) -> (u64, Option<Evicted>) {
+        assert!(addr.index() != VACANT, "{addr} is the vacant-way tag");
         assert!(!self.contains(addr), "{addr} already cached");
         self.tick += 1;
-        let set = self.set_of(addr);
-        let incoming_dirty = block.dirty;
-        // Prefer an empty way.
-        if let Some(way) = self.sets[set].iter().position(Option::is_none) {
-            self.sets[set][way] = Some(Entry {
-                addr,
-                block,
-                last_use: self.tick,
-            });
-            let slot = (set * self.ways + way) as u64;
-            self.index.insert(addr, slot as u32);
-            if incoming_dirty {
-                self.dirty_slots.insert(slot as u32);
+        let base = self.set_base(addr);
+        let ways = base..base + self.ways;
+        let dirty = block.dirty;
+        // Prefer an empty way; otherwise evict the least recently used
+        // way that is not pinned (the first such way on a tie).
+        let slot = match self.tags[ways.clone()].iter().position(|&t| t == VACANT) {
+            Some(way) => {
+                self.resident += 1;
+                base + way
             }
-            return (slot, None);
-        }
-        // Evict the least recently used way that is not pinned.
-        let victim_way = self.sets[set]
-            .iter()
-            .enumerate()
-            .filter_map(|(w, e)| e.as_ref().map(|e| (w, e)))
-            .filter(|(_, e)| !pinned.contains(&e.addr))
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(w, _)| w)
-            // Documented panic in the method docs: pins are bounded by
-            // tree depth, which the associativity covers.
-            // lint:allow(P1, documented panic when every way is pinned)
-            .expect("at least one unpinned way (pins bounded by tree depth)");
-        let old = self.sets[set][victim_way]
-            .replace(Entry {
-                addr,
-                block,
-                last_use: self.tick,
-            })
-            // lint:allow(P1, victim way is occupied since empty ways were claimed above)
-            .expect("victim exists");
-        if old.block.dirty {
-            self.stats.dirty_evictions += 1;
-        } else {
-            self.stats.clean_evictions += 1;
-        }
-        let slot = (set * self.ways + victim_way) as u64;
-        self.index.remove(&old.addr);
-        self.index.insert(addr, slot as u32);
-        if incoming_dirty {
-            self.dirty_slots.insert(slot as u32);
-        } else {
-            self.dirty_slots.remove(&(slot as u32));
-        }
-        (
-            slot,
-            Some(Evicted {
-                addr: old.addr,
-                block: old.block,
-                slot,
-            }),
-        )
+            None => ways
+                .filter(|&slot| !pinned.contains(&LineAddr::new(self.tags[slot])))
+                .min_by_key(|&slot| self.last_use[slot])
+                // Documented panic in the method docs: every way pinned.
+                // lint:allow(P1, documented panic when every way is pinned)
+                .expect("at least one unpinned way (pins share one list across nested writebacks)"),
+        };
+        let old_addr = LineAddr::new(std::mem::replace(&mut self.tags[slot], addr.index()));
+        self.last_use[slot] = self.tick;
+        self.set_dirty_bit(slot, dirty);
+        let evicted = self.blocks[slot].replace(block).map(|old| {
+            if old.dirty {
+                self.stats.dirty_evictions += 1;
+            } else {
+                self.stats.clean_evictions += 1;
+            }
+            Evicted {
+                addr: old_addr,
+                block: old,
+                slot: slot as u64,
+            }
+        });
+        (slot as u64, evicted)
     }
 
     /// Removes and returns a resident block (used by flush/crash paths).
     pub fn remove(&mut self, addr: LineAddr) -> Option<CachedBlock> {
-        let slot = self.index.remove(&addr)?;
-        self.dirty_slots.remove(&slot);
-        let (set, way) = self.coords(slot);
-        self.sets[set][way].take().map(|e| e.block)
+        let slot = self.find(addr)?;
+        self.tags[slot] = VACANT;
+        self.set_dirty_bit(slot, false);
+        self.resident -= 1;
+        self.blocks[slot].take()
     }
 
     /// Marks a resident block dirty (write-back pending), keeping the
-    /// incremental dirty index in step. No-op when `addr` is not
-    /// resident.
+    /// dirty bitset in step. No-op when `addr` is not resident.
     pub fn mark_dirty(&mut self, addr: LineAddr) {
-        if let Some(&slot) = self.index.get(&addr) {
-            let (set, way) = self.coords(slot);
-            if let Some(e) = self.sets[set][way].as_mut() {
-                e.block.dirty = true;
-                self.dirty_slots.insert(slot);
-            }
-        }
+        self.set_dirty(addr, true);
     }
 
     /// Marks a resident block clean (write-back completed), keeping the
-    /// incremental dirty index in step. No-op when `addr` is not
-    /// resident.
+    /// dirty bitset in step. No-op when `addr` is not resident.
     pub fn mark_clean(&mut self, addr: LineAddr) {
-        if let Some(&slot) = self.index.get(&addr) {
-            let (set, way) = self.coords(slot);
-            if let Some(e) = self.sets[set][way].as_mut() {
-                e.block.dirty = false;
-                self.dirty_slots.remove(&slot);
+        self.set_dirty(addr, false);
+    }
+
+    fn set_dirty(&mut self, addr: LineAddr, dirty: bool) {
+        if let Some(slot) = self.find(addr) {
+            if let Some(block) = self.blocks[slot].as_mut() {
+                block.dirty = dirty;
+                self.set_dirty_bit(slot, dirty);
             }
         }
     }
@@ -346,42 +326,42 @@ impl MetadataCache {
     /// Addresses of all dirty resident blocks (for orderly flush).
     ///
     /// **Order contract**: addresses are yielded in **set-major,
-    /// way-minor** order — never the hash-based tag index — so the
-    /// sequence is a pure function of the insert/evict history. Same
-    /// operation history ⇒ same iteration order, on every run and
-    /// platform. The persist fixpoint loop, persist-path trace events
-    /// and the crash-sweep test all rely on this stability; do not
-    /// reimplement this over `self.index` (HashMap iteration order would
-    /// leak into traces). Implemented over the incrementally maintained
-    /// `dirty_slots` set: ascending global-slot order is exactly
-    /// set-major, way-minor, and the scan is O(dirty) instead of a
-    /// linear walk of every way.
+    /// way-minor** order, so the sequence is a pure function of the
+    /// insert/evict history. Same operation history ⇒ same iteration
+    /// order, on every run and platform. The persist fixpoint loop,
+    /// persist-path trace events and the crash-sweep test all rely on
+    /// this stability. Implemented over the dirty bitset: ascending bit
+    /// order is ascending global-slot order, which is exactly set-major,
+    /// way-minor, and the scan skips 64 clean slots per zero word.
     pub fn dirty_addrs(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        self.dirty_slots.iter().map(|&slot| {
-            let (set, way) = self.coords(slot);
-            let e = self.sets[set][way]
-                .as_ref()
-                // lint:allow(P1, the dirty index maps only to occupied slots)
-                .expect("dirty slot is occupied");
-            debug_assert!(e.block.dirty);
-            e.addr
-        })
+        self.dirty
+            .iter()
+            .enumerate()
+            .flat_map(move |(word, &bits)| {
+                let mut bits = bits;
+                std::iter::from_fn(move || {
+                    if bits == 0 {
+                        return None;
+                    }
+                    let slot = word * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    debug_assert!(self.blocks[slot].as_ref().is_some_and(|b| b.dirty));
+                    Some(LineAddr::new(self.tags[slot]))
+                })
+            })
     }
 
     /// Drops every entry (models volatile loss at crash).
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            for way in set.iter_mut() {
-                *way = None;
-            }
-        }
-        self.index.clear();
-        self.dirty_slots.clear();
+        self.tags.fill(VACANT);
+        self.blocks.fill(None);
+        self.dirty.fill(0);
+        self.resident = 0;
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.resident
     }
 
     /// Returns `true` when nothing is cached.
@@ -558,9 +538,9 @@ mod tests {
     }
 
     #[test]
-    fn index_consistent_through_insert_evict_remove_clear() {
-        // The tag index must agree with a linear scan of the ways after
-        // every mutation, and resolved slots must round-trip.
+    fn slots_consistent_through_insert_evict_remove_clear() {
+        // `slot_of`, `contains`, `peek` and `len` must agree after every
+        // mutation, and resolved slots must round-trip.
         fn check(c: &MetadataCache, universe: &[LineAddr]) {
             let mut scanned = 0usize;
             for &addr in universe {
@@ -594,6 +574,182 @@ mod tests {
         c.clear();
         check(&c, &universe);
         assert!(c.is_empty());
+    }
+
+    /// The reference model: each set a vector of ways holding
+    /// `(addr, block id, dirty, last use)`, scanned naively.
+    struct Model {
+        sets: Vec<Vec<Option<(u64, u64, bool, u64)>>>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Model {
+        fn new(sets: usize, ways: usize) -> Self {
+            Self {
+                sets: vec![vec![None; ways]; sets],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn locate(&self, addr: u64) -> Option<(usize, usize)> {
+            let set = addr as usize % self.sets.len();
+            let way = self.sets[set]
+                .iter()
+                .position(|e| e.is_some_and(|e| e.0 == addr))?;
+            Some((set, way))
+        }
+
+        fn slot(&self, (set, way): (usize, usize)) -> u64 {
+            (set * self.sets[0].len() + way) as u64
+        }
+
+        /// Like `insert`: `None` when every way is pinned, else the slot
+        /// and the evicted `(addr, id, dirty)`.
+        #[allow(clippy::type_complexity)]
+        fn insert(
+            &mut self,
+            addr: u64,
+            id: u64,
+            dirty: bool,
+            pinned: &[u64],
+        ) -> Option<(u64, Option<(u64, u64, bool)>)> {
+            let set = addr as usize % self.sets.len();
+            let ways = &self.sets[set];
+            let way = match ways.iter().position(Option::is_none) {
+                Some(way) => way,
+                None => {
+                    let mut best: Option<(usize, u64)> = None;
+                    for (way, e) in ways.iter().enumerate() {
+                        let (a, _, _, used) = e.unwrap();
+                        if !pinned.contains(&a) && best.is_none_or(|(_, b)| used < b) {
+                            best = Some((way, used));
+                        }
+                    }
+                    best?.0
+                }
+            };
+            self.tick += 1;
+            let old = self.sets[set][way].replace((addr, id, dirty, self.tick));
+            if let Some((_, _, was_dirty, _)) = old {
+                if was_dirty {
+                    self.stats.dirty_evictions += 1;
+                } else {
+                    self.stats.clean_evictions += 1;
+                }
+            }
+            let slot = self.slot((set, way));
+            Some((slot, old.map(|(a, i, d, _)| (a, i, d))))
+        }
+
+        fn dirty_addrs(&self) -> Vec<u64> {
+            let entries = self.sets.iter().flatten().flatten();
+            entries.filter(|e| e.2).map(|e| e.0).collect()
+        }
+    }
+
+    #[test]
+    fn cache_matches_a_naive_per_set_model() {
+        // 4 sets x 4 ways over 24 addresses: every set sees six
+        // contenders, and pins are drawn from the inserted block's own set
+        // so they decide victims.
+        use soteria_rt::prop::{any, check, vec, Config};
+        use soteria_rt::prop_assert_eq;
+        const SETS: u64 = 4;
+        check(
+            "mdcache_matches_a_naive_per_set_model",
+            &Config::with_cases(64),
+            &vec((0u8..16, 0u64..24, 0u8..8, any::<bool>()), 1..400usize),
+            |ops| {
+                let mut cache = MetadataCache::new(SETS * 4 * 64, 4);
+                let mut model = Model::new(SETS as usize, 4);
+                for (id, &(op, addr, pins, dirty)) in ops.iter().enumerate() {
+                    let id = id as u64;
+                    let a = LineAddr::new(addr);
+                    match op {
+                        0..=5 => {
+                            if model.locate(addr).is_some() {
+                                continue;
+                            }
+                            let pinned: Vec<u64> = (0..3)
+                                .filter(|k| pins & (1 << k) != 0)
+                                .map(|k| (addr + (k + 1) * SETS) % 24)
+                                .collect();
+                            let Some(want) = model.insert(addr, id, dirty, &pinned) else {
+                                continue; // every way pinned: insert panics
+                            };
+                            let block = if dirty {
+                                CachedBlock::modified(MetaId::new(1, id), [0; 64])
+                            } else {
+                                CachedBlock::clean(MetaId::new(1, id), [0; 64])
+                            };
+                            let pinned: Vec<LineAddr> =
+                                pinned.iter().map(|&p| LineAddr::new(p)).collect();
+                            let (slot, evicted) = cache.insert(a, block, &pinned);
+                            let evicted = evicted.map(|e| {
+                                assert_eq!(e.slot, slot);
+                                (e.addr.index(), e.block.meta.index, e.block.is_dirty())
+                            });
+                            prop_assert_eq!((slot, evicted), want);
+                        }
+                        6..=8 => {
+                            let got = cache.lookup(a).map(|b| b.meta.index);
+                            model.tick += 1;
+                            let want = model.locate(addr).map(|(set, way)| {
+                                let e = model.sets[set][way].as_mut().unwrap();
+                                e.3 = model.tick;
+                                e.1
+                            });
+                            match want {
+                                Some(_) => model.stats.hits += 1,
+                                None => model.stats.misses += 1,
+                            }
+                            prop_assert_eq!(got, want);
+                        }
+                        9 => {
+                            let got = cache.peek(a).map(|b| (b.meta.index, b.is_dirty()));
+                            let want = model
+                                .locate(addr)
+                                .map(|(s, w)| model.sets[s][w].map(|e| (e.1, e.2)).unwrap());
+                            prop_assert_eq!(got, want);
+                        }
+                        10 | 11 => {
+                            let mark = op == 10;
+                            if mark {
+                                cache.mark_dirty(a);
+                            } else {
+                                cache.mark_clean(a);
+                            }
+                            if let Some((s, w)) = model.locate(addr) {
+                                model.sets[s][w].as_mut().unwrap().2 = mark;
+                            }
+                        }
+                        12..=14 => {
+                            let got = cache.remove(a).map(|b| b.meta.index);
+                            let want = model
+                                .locate(addr)
+                                .and_then(|(s, w)| model.sets[s][w].take().map(|e| e.1));
+                            prop_assert_eq!(got, want);
+                        }
+                        _ => {
+                            cache.clear();
+                            model.sets.iter_mut().flatten().for_each(|e| *e = None);
+                        }
+                    }
+                    prop_assert_eq!(cache.stats(), model.stats);
+                    let dirty: Vec<u64> = cache.dirty_addrs().map(|a| a.index()).collect();
+                    prop_assert_eq!(dirty, model.dirty_addrs());
+                    let resident = model.sets.iter().flatten().flatten().count();
+                    prop_assert_eq!(cache.len(), resident);
+                    for probe in 0..24 {
+                        let want = model.locate(probe).map(|c| model.slot(c));
+                        prop_assert_eq!(cache.slot_of(LineAddr::new(probe)), want);
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -268,10 +268,7 @@ impl Recoverer<'_> {
         };
         let major_bumped = major != mem.major();
         let mut restored = mem;
-        // Rebuild through serialization to set the major cleanly.
-        let mut raw = restored.to_bytes();
-        raw[..8].copy_from_slice(&major.to_le_bytes());
-        restored = CounterBlock::from_bytes(&raw);
+        restored.set_major(major);
         let mut recovered_here = 0u64;
         for slot in 0..COUNTERS_PER_BLOCK as usize {
             let base_minor = if major_bumped { 0 } else { mem.minor(slot) };
@@ -283,7 +280,7 @@ impl Recoverer<'_> {
             }
             let stored = soteria_rt::bytes::u64_le(&mac_bytes[off..off + 8]);
             if stored == 0 {
-                set_minor(&mut restored, slot, base_minor);
+                restored.set_minor(slot, base_minor);
                 continue; // line never written
             }
             let (cipher_bytes, co) = self.device.read_line(self.layout.data_line_addr(daddr));
@@ -302,7 +299,7 @@ impl Recoverer<'_> {
                     .data_mac(daddr.index() * 64, &cipher_bytes, counter)
                     .max(1);
                 if tag == stored {
-                    set_minor(&mut restored, slot, minor as u8);
+                    restored.set_minor(slot, minor as u8);
                     if t > 0 {
                         recovered_here += 1;
                     }
@@ -422,26 +419,6 @@ impl Recoverer<'_> {
         }
         false
     }
-}
-
-fn set_minor(block: &mut CounterBlock, slot: usize, minor: u8) {
-    // CounterBlock has no direct minor setter (its invariants are managed
-    // by bump); recovery reconstructs through serialization instead.
-    let mut probe = *block;
-    let mut raw = probe.to_bytes();
-    // Clear and re-set the 7-bit field.
-    let bitpos = slot * 7;
-    let byte = 8 + bitpos / 8;
-    let shift = bitpos % 8;
-    let mask: u16 = 0x7f << shift;
-    let mut v = u16::from_le_bytes([raw[byte], *raw.get(byte + 1).unwrap_or(&0)]);
-    v = (v & !mask) | ((minor as u16) << shift);
-    raw[byte] = v as u8;
-    if byte + 1 < 64 {
-        raw[byte + 1] = (v >> 8) as u8;
-    }
-    probe = CounterBlock::from_bytes(&raw);
-    *block = probe;
 }
 
 /// Recovers a crashed secure memory, returning a fresh controller and a
@@ -726,17 +703,6 @@ mod tests {
         // Memory says 0x1_fffe, shadow says LSB 0x0003: the counter
         // advanced past a 16-bit boundary.
         assert_eq!(restore_lsb16(0x1_fffe, 0x0003), 0x2_0003);
-    }
-
-    #[test]
-    fn set_minor_roundtrip() {
-        let mut b = CounterBlock::new();
-        for slot in 0..64 {
-            set_minor(&mut b, slot, (slot % 128) as u8);
-        }
-        for slot in 0..64 {
-            assert_eq!(b.minor(slot), (slot % 128) as u8, "slot {slot}");
-        }
     }
 
     #[test]

@@ -24,6 +24,7 @@ use soteria_rt::obs_fields;
 
 use crate::fault::{FaultKind, FaultRecord};
 use crate::geometry::DimmGeometry;
+use crate::paged::LineTable;
 use crate::wear::{StartGapLeveler, WearTracker};
 use crate::LineAddr;
 
@@ -69,7 +70,10 @@ impl FunctionalStore {
 struct SymbolicStore {
     correctable_chips: usize,
     beats: u8,
-    epochs: BTreeMap<u64, u64>,
+    // Write epoch per physical line (zero = never written), paged so a
+    // device whose metadata regions sit far above its data lines stays
+    // sparse.
+    epochs: LineTable,
 }
 
 enum Storage {
@@ -154,7 +158,7 @@ impl NvmDimm {
             storage: Storage::Symbolic(SymbolicStore {
                 correctable_chips,
                 beats: 4,
-                epochs: BTreeMap::new(),
+                epochs: LineTable::default(),
             }),
             faults: Vec::new(),
             write_epoch: 0,
@@ -265,11 +269,9 @@ impl NvmDimm {
                 *FunctionalStore::slot_mut(&mut fs.lines, to) = moved;
             }
             Storage::Symbolic(ss) => {
-                if let Some(e) = ss.epochs.remove(&from) {
-                    ss.epochs.insert(to, e);
-                } else {
-                    ss.epochs.remove(&to);
-                }
+                // A vacant source (epoch 0) clears `to`, as above.
+                let epoch = ss.epochs.take(from);
+                ss.epochs.set(to, epoch);
             }
         }
     }
@@ -399,7 +401,7 @@ impl NvmDimm {
                 }
             }
             Storage::Symbolic(ss) => {
-                ss.epochs.insert(phys.index(), self.write_epoch);
+                ss.epochs.set(phys.index(), self.write_epoch);
             }
         }
     }
@@ -407,7 +409,7 @@ impl NvmDimm {
     fn line_epoch(&self, phys: LineAddr) -> u64 {
         match &self.storage {
             Storage::Functional(fs) => fs.get(phys.index()).map_or(0, |(_, e)| *e),
-            Storage::Symbolic(ss) => ss.epochs.get(&phys.index()).copied().unwrap_or(0),
+            Storage::Symbolic(ss) => ss.epochs.get(phys.index()),
         }
     }
 
@@ -798,6 +800,122 @@ mod tests {
         d.inject_fault(rank_fault);
         let (_, outcome) = d.read_line(LineAddr::new(2));
         assert_eq!(outcome, CorrectionOutcome::Uncorrectable);
+    }
+
+    #[test]
+    fn sixteen_gib_device_tables_stay_sparse() {
+        // The 16 GiB Timing system's device: 2^29 lines, its shadow and
+        // clone regions far above the data lines. Two far-apart writes
+        // must cost two pages of epochs and two of wear counts.
+        let g = DimmGeometry::new(18, 9, 2, 16, 32768, 1024);
+        let mut d = NvmDimm::symbolic(g, 1);
+        for line in [0, 300_000_000] {
+            d.write_line(LineAddr::new(line), &[0u8; 64]);
+        }
+        let Storage::Symbolic(ss) = &d.storage else {
+            unreachable!("symbolic device")
+        };
+        assert!(ss.epochs.allocated_pages() <= 2);
+        assert!(d.wear.allocated_pages() <= 2);
+        assert_eq!(d.wear().writes_to(LineAddr::new(300_000_000)), 1);
+    }
+
+    #[test]
+    fn symbolic_transient_outcomes_match_an_ordered_map_model() {
+        // A model of the symbolic device with start-gap leveling on: its
+        // own leveler, write epochs in a BTreeMap keyed by physical line,
+        // and the transient-liveness and chip-count rules. Random writes,
+        // transient whole-chip and single-bank faults and reads must give
+        // the device's outcomes, wear counts and hottest line.
+        use soteria_rt::prop::{check, vec, Config};
+        let g = DimmGeometry::tiny();
+        check(
+            "symbolic_transient_outcomes_match_an_ordered_map_model",
+            &Config::with_cases(48),
+            &(1u64..6, vec((0u8..12, 0u64..256, 0u32..18), 1..240usize)),
+            |(interval, ops)| {
+                let mut d = NvmDimm::symbolic(g, 1);
+                d.enable_wear_leveling(*interval);
+                let mut leveler = StartGapLeveler::new(g.total_lines(), *interval);
+                let mut epochs: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut wear: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut faults: Vec<(u32, Option<u32>, u64)> = Vec::new();
+                let mut epoch = 0u64;
+                let bank_of = |phys: u64| {
+                    if phys == g.total_lines() {
+                        0 // the start-gap spare borrows bank 0
+                    } else {
+                        g.locate(LineAddr::new(phys)).bank
+                    }
+                };
+                for &(op, line, chip) in ops {
+                    match op {
+                        0..=5 => {
+                            d.write_line(LineAddr::new(line), &[0u8; 64]);
+                            if let Some((from, to)) = leveler.record_write() {
+                                match epochs.remove(&from) {
+                                    Some(e) => epochs.insert(to, e),
+                                    None => epochs.remove(&to),
+                                };
+                            }
+                            epoch += 1;
+                            let phys = leveler.translate(line);
+                            epochs.insert(phys, epoch);
+                            *wear.entry(phys).or_default() += 1;
+                        }
+                        6 | 7 => {
+                            let bank = (op == 7).then_some(chip % g.banks());
+                            let footprint = match bank {
+                                Some(bank) => FaultFootprint::SingleBank { bank },
+                                None => FaultFootprint::WholeChip,
+                            };
+                            d.inject_fault(FaultRecord::on_chip(
+                                &g,
+                                chip,
+                                footprint,
+                                FaultKind::Transient,
+                            ));
+                            faults.push((chip, bank, epoch));
+                        }
+                        _ => {
+                            let outcome = d.read_line(LineAddr::new(line)).1;
+                            let phys = leveler.translate(line);
+                            let line_epoch = epochs.get(&phys).copied().unwrap_or(0);
+                            let mut chips: Vec<u32> = faults
+                                .iter()
+                                .filter(|&&(_, bank, onset)| {
+                                    line_epoch <= onset && bank.is_none_or(|b| b == bank_of(phys))
+                                })
+                                .map(|&(c, _, _)| c)
+                                .collect();
+                            chips.sort_unstable();
+                            chips.dedup();
+                            let want = match chips.len() {
+                                0 => CorrectionOutcome::Clean,
+                                1 => CorrectionOutcome::Corrected { symbols: 4 },
+                                _ => CorrectionOutcome::Uncorrectable,
+                            };
+                            soteria_rt::prop_assert_eq!(outcome, want, "line {}", line);
+                        }
+                    }
+                }
+                for (&phys, &n) in &wear {
+                    soteria_rt::prop_assert_eq!(d.wear().writes_to(LineAddr::new(phys)), n);
+                }
+                let hottest =
+                    wear.iter()
+                        .fold(None, |best: Option<(u64, u64)>, (&a, &n)| match best {
+                            Some((_, m)) if m >= n => best,
+                            _ => Some((a, n)),
+                        });
+                soteria_rt::prop_assert_eq!(
+                    d.wear().hottest(),
+                    hottest.map(|(a, n)| (LineAddr::new(a), n))
+                );
+                soteria_rt::prop_assert_eq!(d.wear().total_writes(), wear.values().sum::<u64>());
+                Ok(())
+            },
+        );
     }
 
     #[test]

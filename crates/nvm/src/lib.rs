@@ -37,6 +37,7 @@
 pub mod device;
 pub mod fault;
 pub mod geometry;
+mod paged;
 pub mod timing;
 pub mod wear;
 pub mod wpq;

@@ -7,18 +7,19 @@
 //! gap moves one slot, slowly rotating the logical-to-physical mapping so
 //! no physical line stays under a hot logical address.
 
+use crate::paged::LineTable;
 use crate::LineAddr;
 
 /// Tracks per-line write counts.
 ///
-/// Stored as a flat table indexed by line (zero = never written), grown
-/// lazily toward the device size: the per-write increment on the
-/// controller's hot path is one array bump instead of an ordered-map
-/// entry operation. Report-time scans (`hottest`, `imbalance`) stay
+/// Stored in a sparse paged table indexed by line (zero = never
+/// written): the per-write increment on the controller's hot path is two
+/// array indexes, and memory grows with the pages written, not with the
+/// highest line. Report-time scans (`hottest`, `imbalance`) stay
 /// deterministic by walking in index order.
 #[derive(Clone, Debug, Default)]
 pub struct WearTracker {
-    writes: Vec<u64>,
+    writes: LineTable,
     written_lines: u64,
     total: u64,
 }
@@ -31,12 +32,9 @@ impl WearTracker {
 
     /// Records one write to `addr`.
     pub fn record_write(&mut self, addr: LineAddr) {
-        let idx = addr.index() as usize;
-        if idx >= self.writes.len() {
-            self.writes.resize(idx + 1, 0);
-        }
-        self.writes[idx] += 1;
-        if self.writes[idx] == 1 {
+        let count = self.writes.get_mut(addr.index());
+        *count += 1;
+        if *count == 1 {
             self.written_lines += 1;
         }
         self.total += 1;
@@ -44,7 +42,7 @@ impl WearTracker {
 
     /// Write count of one line.
     pub fn writes_to(&self, addr: LineAddr) -> u64 {
-        self.writes.get(addr.index() as usize).copied().unwrap_or(0)
+        self.writes.get(addr.index())
     }
 
     /// Total writes across the device.
@@ -55,14 +53,20 @@ impl WearTracker {
     /// The most-written line and its count, if any writes happened.
     pub fn hottest(&self) -> Option<(LineAddr, u64)> {
         // Index-order scan with strict `>`: among equally-hot lines the
-        // lowest address wins, matching the ordered-map behavior.
+        // lowest address wins.
         let mut best: Option<(u64, u64)> = None;
-        for (addr, &count) in self.writes.iter().enumerate() {
-            if count > 0 && best.is_none_or(|(_, c)| count > c) {
-                best = Some((addr as u64, count));
+        for (addr, count) in self.writes.nonzero() {
+            if best.is_none_or(|(_, c)| count > c) {
+                best = Some((addr, count));
             }
         }
         best.map(|(a, c)| (LineAddr::new(a), c))
+    }
+
+    /// Pages of counts allocated so far.
+    #[cfg(test)]
+    pub(crate) fn allocated_pages(&self) -> usize {
+        self.writes.allocated_pages()
     }
 
     /// Ratio of the hottest line's writes to the mean over written lines —
@@ -71,7 +75,7 @@ impl WearTracker {
         if self.written_lines == 0 {
             return 1.0;
         }
-        let max = self.writes.iter().copied().max().unwrap_or(0) as f64;
+        let max = self.writes.nonzero().map(|(_, c)| c).max().unwrap_or(0) as f64;
         let mean = self.total as f64 / self.written_lines as f64;
         max / mean
     }
@@ -179,6 +183,50 @@ mod tests {
         assert_eq!(w.writes_to(LineAddr::new(9)), 0);
         assert_eq!(w.total_writes(), 3);
         assert_eq!(w.hottest(), Some((LineAddr::new(3), 2)));
+    }
+
+    #[test]
+    fn tracker_matches_an_ordered_map_model() {
+        // Lines drawn from a few far-apart pages (and page edges), so the
+        // scans cross allocated and unallocated pages; many repeats make
+        // ties for the hottest line common.
+        use soteria_rt::prop::{check, vec, Config};
+        use std::collections::BTreeMap;
+        check(
+            "wear_tracker_matches_an_ordered_map_model",
+            &Config::with_cases(64),
+            &vec((0u64..6, 0u64..8), 0..300usize),
+            |writes| {
+                let bases = [0u64, 4088, 4096, 1 << 20, 300_000_000, 1 << 29];
+                let mut tracker = WearTracker::new();
+                let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+                for &(base, off) in writes {
+                    let line = bases[base as usize] + off;
+                    tracker.record_write(LineAddr::new(line));
+                    *model.entry(line).or_default() += 1;
+                }
+                for base in bases {
+                    for line in base..base + 8 {
+                        let want = model.get(&line).copied().unwrap_or(0);
+                        soteria_rt::prop_assert_eq!(tracker.writes_to(LineAddr::new(line)), want);
+                    }
+                }
+                let max = model.values().copied().max();
+                let hottest = model.iter().find(|&(_, &n)| Some(n) == max);
+                soteria_rt::prop_assert_eq!(
+                    tracker.hottest(),
+                    hottest.map(|(&a, &n)| (LineAddr::new(a), n))
+                );
+                let total: u64 = model.values().sum();
+                soteria_rt::prop_assert_eq!(tracker.total_writes(), total);
+                let imbalance = match max {
+                    None => 1.0,
+                    Some(max) => max as f64 / (total as f64 / model.len() as f64),
+                };
+                soteria_rt::prop_assert_eq!(tracker.imbalance().to_bits(), imbalance.to_bits());
+                Ok(())
+            },
+        );
     }
 
     #[test]

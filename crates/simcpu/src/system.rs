@@ -244,7 +244,7 @@ impl System {
         let now_ns = self.ns_of(now_cycles);
         let mut read_done_ns = now_ns;
         let geometry = *self.controller.device().geometry();
-        for (addr, kind) in self.controller.last_trace().to_vec() {
+        for &(addr, kind) in self.controller.last_trace() {
             let done = self.banks.schedule(&geometry, addr, kind, now_ns);
             if kind == AccessKind::Read {
                 read_done_ns = read_done_ns.max(done);
