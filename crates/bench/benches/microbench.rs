@@ -1,7 +1,9 @@
 //! Micro-benchmarks for the building blocks: the crypto engine,
-//! Reed–Solomon/Chipkill codecs, the secure controller datapath, one
-//! FaultSim iteration, and one loss assessment. These quantify simulator throughput (they are not
-//! paper figures — the `fig*` binaries regenerate those).
+//! Reed–Solomon/Chipkill codecs, the metadata cache and counter-block
+//! codec, the secure controller datapath, one batch of the Table 3 timing
+//! system, one FaultSim iteration, and one loss assessment. These
+//! quantify simulator throughput (they are not paper figures — the
+//! `fig*` binaries regenerate those).
 //!
 //! Runs on the in-tree wall-clock harness ([`soteria_rt::bench`]):
 //! calibrated batches, warmup, median/p95 per-iteration times. Tune with
@@ -21,6 +23,7 @@ use soteria_rt::json::Json;
 
 use soteria::analysis::ResilienceModel;
 use soteria::clone::CloningPolicy;
+use soteria::counter::CounterBlock;
 use soteria::mdcache::{CachedBlock, MetadataCache};
 use soteria::{DataAddr, Fidelity, MetaId, SecureMemoryConfig, SecureMemoryController};
 use soteria_crypto::aes::Aes128;
@@ -33,6 +36,8 @@ use soteria_ecc::rs::ReedSolomon;
 use soteria_faultsim::{run_campaign, CampaignConfig, STANDARD_POLICIES};
 use soteria_nvm::fault::{FaultFootprint, FaultKind, FaultRecord};
 use soteria_nvm::LineAddr;
+use soteria_simcpu::{System, SystemConfig};
+use soteria_workloads::{Lbm, Mcf, Pmemkv, Workload, Ycsb};
 
 fn bench_crypto(c: &mut Harness) {
     let aes = Aes128::new([4; 16]);
@@ -180,6 +185,43 @@ fn bench_mdcache(c: &mut Harness) {
     }
     c.bench_function("mdcache_dirty_addrs_scan", |b| {
         b.iter(|| dirty_cache.dirty_addrs().count())
+    });
+}
+
+fn bench_counter_codec(c: &mut Harness) {
+    // An irregular byte pattern, so the minors vary from slot to slot.
+    let mut raw = [0u8; 64];
+    for (i, byte) in raw.iter_mut().enumerate() {
+        *byte = (i as u8).wrapping_mul(37);
+    }
+    let block = CounterBlock::from_bytes(&raw);
+    c.bench_function("counter_block_codec", |b| {
+        b.iter(|| CounterBlock::from_bytes(&black_box(&block).to_bytes()))
+    });
+}
+
+fn bench_timing_system(c: &mut Harness) {
+    // bench-e2e's timingsim: the Table 3 SAC system at 64 MiB running its
+    // four generators in turn, warmed until the LLC and the metadata
+    // cache are full. One iteration is one 1 000-operation `System::run`
+    // of the next generator.
+    const BYTES: u64 = 64 << 20;
+    let mut system = System::new(SystemConfig::table3(CloningPolicy::Aggressive, BYTES));
+    let mut gens: Vec<Box<dyn Workload>> = vec![
+        Box::new(Pmemkv::new(BYTES, 0x11)),
+        Box::new(Mcf::new(BYTES, 0x22)),
+        Box::new(Ycsb::new(BYTES, 0x33)),
+        Box::new(Lbm::new(BYTES, 0x44)),
+    ];
+    for g in &mut gens {
+        system.run(g.as_mut(), 50_000);
+    }
+    let mut next = 0;
+    c.bench_function("timing_system_run_1000_ops", |b| {
+        b.iter(|| {
+            next = (next + 1) % gens.len();
+            system.run(gens[next].as_mut(), 1_000).cycles
+        })
     });
 }
 
@@ -413,7 +455,9 @@ fn main() {
     bench_chipkill(&mut harness);
     bench_rs(&mut harness);
     bench_mdcache(&mut harness);
+    bench_counter_codec(&mut harness);
     bench_controller(&mut harness);
+    bench_timing_system(&mut harness);
     bench_write_stages(&mut harness);
     bench_obs(&mut harness);
     bench_faultsim(&mut harness);
