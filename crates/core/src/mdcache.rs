@@ -576,10 +576,18 @@ mod tests {
         assert!(c.is_empty());
     }
 
-    /// The reference model: each set a vector of ways holding
-    /// `(addr, block id, dirty, last use)`, scanned naively.
+    /// One occupied way of the reference model.
+    #[derive(Clone, Copy)]
+    struct Way {
+        addr: u64,
+        id: u64,
+        dirty: bool,
+        used: u64,
+    }
+
+    /// The reference model: each set a vector of ways, scanned naively.
     struct Model {
-        sets: Vec<Vec<Option<(u64, u64, bool, u64)>>>,
+        sets: Vec<Vec<Option<Way>>>,
         tick: u64,
         stats: CacheStats,
     }
@@ -597,7 +605,7 @@ mod tests {
             let set = addr as usize % self.sets.len();
             let way = self.sets[set]
                 .iter()
-                .position(|e| e.is_some_and(|e| e.0 == addr))?;
+                .position(|e| e.is_some_and(|e| e.addr == addr))?;
             Some((set, way))
         }
 
@@ -606,15 +614,9 @@ mod tests {
         }
 
         /// Like `insert`: `None` when every way is pinned, else the slot
-        /// and the evicted `(addr, id, dirty)`.
-        #[allow(clippy::type_complexity)]
-        fn insert(
-            &mut self,
-            addr: u64,
-            id: u64,
-            dirty: bool,
-            pinned: &[u64],
-        ) -> Option<(u64, Option<(u64, u64, bool)>)> {
+        /// and the evicted way.
+        fn insert(&mut self, new: Way, pinned: &[u64]) -> Option<(u64, Option<Way>)> {
+            let addr = new.addr;
             let set = addr as usize % self.sets.len();
             let ways = &self.sets[set];
             let way = match ways.iter().position(Option::is_none) {
@@ -622,30 +624,32 @@ mod tests {
                 None => {
                     let mut best: Option<(usize, u64)> = None;
                     for (way, e) in ways.iter().enumerate() {
-                        let (a, _, _, used) = e.unwrap();
-                        if !pinned.contains(&a) && best.is_none_or(|(_, b)| used < b) {
-                            best = Some((way, used));
+                        let e = e.unwrap();
+                        if !pinned.contains(&e.addr) && best.is_none_or(|(_, b)| e.used < b) {
+                            best = Some((way, e.used));
                         }
                     }
                     best?.0
                 }
             };
             self.tick += 1;
-            let old = self.sets[set][way].replace((addr, id, dirty, self.tick));
-            if let Some((_, _, was_dirty, _)) = old {
-                if was_dirty {
+            let old = self.sets[set][way].replace(Way {
+                used: self.tick,
+                ..new
+            });
+            if let Some(old) = old {
+                if old.dirty {
                     self.stats.dirty_evictions += 1;
                 } else {
                     self.stats.clean_evictions += 1;
                 }
             }
-            let slot = self.slot((set, way));
-            Some((slot, old.map(|(a, i, d, _)| (a, i, d))))
+            Some((self.slot((set, way)), old))
         }
 
         fn dirty_addrs(&self) -> Vec<u64> {
             let entries = self.sets.iter().flatten().flatten();
-            entries.filter(|e| e.2).map(|e| e.0).collect()
+            entries.filter(|e| e.dirty).map(|e| e.addr).collect()
         }
     }
 
@@ -676,7 +680,13 @@ mod tests {
                                 .filter(|k| pins & (1 << k) != 0)
                                 .map(|k| (addr + (k + 1) * SETS) % 24)
                                 .collect();
-                            let Some(want) = model.insert(addr, id, dirty, &pinned) else {
+                            let new = Way {
+                                addr,
+                                id,
+                                dirty,
+                                used: 0,
+                            };
+                            let Some((want_slot, want_evicted)) = model.insert(new, &pinned) else {
                                 continue; // every way pinned: insert panics
                             };
                             let block = if dirty {
@@ -691,15 +701,16 @@ mod tests {
                                 assert_eq!(e.slot, slot);
                                 (e.addr.index(), e.block.meta.index, e.block.is_dirty())
                             });
-                            prop_assert_eq!((slot, evicted), want);
+                            let want_evicted = want_evicted.map(|e| (e.addr, e.id, e.dirty));
+                            prop_assert_eq!((slot, evicted), (want_slot, want_evicted));
                         }
                         6..=8 => {
                             let got = cache.lookup(a).map(|b| b.meta.index);
                             model.tick += 1;
                             let want = model.locate(addr).map(|(set, way)| {
                                 let e = model.sets[set][way].as_mut().unwrap();
-                                e.3 = model.tick;
-                                e.1
+                                e.used = model.tick;
+                                e.id
                             });
                             match want {
                                 Some(_) => model.stats.hits += 1,
@@ -711,7 +722,7 @@ mod tests {
                             let got = cache.peek(a).map(|b| (b.meta.index, b.is_dirty()));
                             let want = model
                                 .locate(addr)
-                                .map(|(s, w)| model.sets[s][w].map(|e| (e.1, e.2)).unwrap());
+                                .map(|(s, w)| model.sets[s][w].map(|e| (e.id, e.dirty)).unwrap());
                             prop_assert_eq!(got, want);
                         }
                         10 | 11 => {
@@ -722,14 +733,14 @@ mod tests {
                                 cache.mark_clean(a);
                             }
                             if let Some((s, w)) = model.locate(addr) {
-                                model.sets[s][w].as_mut().unwrap().2 = mark;
+                                model.sets[s][w].as_mut().unwrap().dirty = mark;
                             }
                         }
                         12..=14 => {
                             let got = cache.remove(a).map(|b| b.meta.index);
                             let want = model
                                 .locate(addr)
-                                .and_then(|(s, w)| model.sets[s][w].take().map(|e| e.1));
+                                .and_then(|(s, w)| model.sets[s][w].take().map(|e| e.id));
                             prop_assert_eq!(got, want);
                         }
                         _ => {
