@@ -804,9 +804,10 @@ mod tests {
 
     #[test]
     fn sixteen_gib_device_tables_stay_sparse() {
-        // The 16 GiB Timing system's device: 2^29 lines, its shadow and
-        // clone regions far above the data lines. Two far-apart writes
-        // must cost two pages of epochs and two of wear counts.
+        // A 2^29-line device, room for the 16 GiB Timing system, whose
+        // shadow and clone regions sit far above its 2^28 data lines. Two
+        // far-apart writes must cost two pages of epochs and two of wear
+        // counts.
         let g = DimmGeometry::new(18, 9, 2, 16, 32768, 1024);
         let mut d = NvmDimm::symbolic(g, 1);
         for line in [0, 300_000_000] {
