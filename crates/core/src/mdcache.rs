@@ -114,7 +114,6 @@ pub struct MetadataCache {
     // bit order is ascending slot order, which IS the documented
     // set-major, way-minor `dirty_addrs()` contract.
     dirty: Vec<u64>,
-    resident: usize,
     tick: u64,
     stats: CacheStats,
 }
@@ -144,7 +143,6 @@ impl MetadataCache {
             blocks: vec![None; slots],
             last_use: vec![0; slots],
             dirty: vec![0; slots.div_ceil(64)],
-            resident: 0,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -264,10 +262,7 @@ impl MetadataCache {
         // Prefer an empty way; otherwise evict the least recently used
         // way that is not pinned (the first such way on a tie).
         let slot = match self.tags[ways.clone()].iter().position(|&t| t == VACANT) {
-            Some(way) => {
-                self.resident += 1;
-                base + way
-            }
+            Some(way) => base + way,
             None => ways
                 .filter(|&slot| !pinned.contains(&LineAddr::new(self.tags[slot])))
                 .min_by_key(|&slot| self.last_use[slot])
@@ -298,7 +293,6 @@ impl MetadataCache {
         let slot = self.find(addr)?;
         self.tags[slot] = VACANT;
         self.set_dirty_bit(slot, false);
-        self.resident -= 1;
         self.blocks[slot].take()
     }
 
@@ -356,12 +350,11 @@ impl MetadataCache {
         self.tags.fill(VACANT);
         self.blocks.fill(None);
         self.dirty.fill(0);
-        self.resident = 0;
     }
 
     /// Number of resident blocks.
     pub fn len(&self) -> usize {
-        self.resident
+        self.tags.iter().filter(|&&tag| tag != VACANT).count()
     }
 
     /// Returns `true` when nothing is cached.

@@ -90,13 +90,13 @@ impl Cache {
         assert!(config.ways > 0 && lines >= config.ways, "cache too small");
         let sets = lines / config.ways;
         assert!(sets.is_power_of_two(), "{sets} sets not a power of two");
-        let ways = sets * config.ways;
+        let slots = sets * config.ways;
         Self {
             config,
             set_mask: sets as u64 - 1,
-            tags: vec![INVALID; ways],
-            stamps: vec![0; ways],
-            dirty: vec![false; ways],
+            tags: vec![INVALID; slots],
+            stamps: vec![0; slots],
+            dirty: vec![false; slots],
             tick: 0,
             stats: LevelStats::default(),
         }
