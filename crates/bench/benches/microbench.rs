@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the building blocks: the crypto engine,
 //! Reed–Solomon/Chipkill codecs, the metadata cache and counter-block
-//! codec, the secure controller datapath, one batch of the Table 3 timing
-//! system, one FaultSim iteration, and one loss assessment. These
+//! codec, the secure controller datapath, a Table 3 LLC miss, a symbolic
+//! device write, one batch of the Table 3 timing system, one FaultSim
+//! iteration, and one loss assessment. These
 //! quantify simulator throughput (they are not paper figures — the
 //! `fig*` binaries regenerate those).
 //!
@@ -34,8 +35,11 @@ use soteria_crypto::{EncryptionKey, MacKey};
 use soteria_ecc::chipkill::{ChipkillCodec, LineCodec};
 use soteria_ecc::rs::ReedSolomon;
 use soteria_faultsim::{run_campaign, CampaignConfig, STANDARD_POLICIES};
+use soteria_nvm::device::NvmDimm;
 use soteria_nvm::fault::{FaultFootprint, FaultKind, FaultRecord};
+use soteria_nvm::geometry::DimmGeometry;
 use soteria_nvm::LineAddr;
+use soteria_simcpu::cache::{Cache, CacheConfig};
 use soteria_simcpu::{System, SystemConfig};
 use soteria_workloads::{Lbm, Mcf, Pmemkv, Workload, Ycsb};
 
@@ -197,6 +201,45 @@ fn bench_counter_codec(c: &mut Harness) {
     let block = CounterBlock::from_bytes(&raw);
     c.bench_function("counter_block_codec", |b| {
         b.iter(|| CounterBlock::from_bytes(&black_box(&block).to_bytes()))
+    });
+}
+
+fn bench_simcpu_llc(c: &mut Harness) {
+    // The Table 3 LLC with every set full and half its lines dirty. Each
+    // access is to a line never seen, so it scans a full 64-way set,
+    // misses and evicts the set's least recently used line.
+    let config = CacheConfig::table3_llc();
+    let mut llc = Cache::new(config);
+    let lines = config.bytes / 64;
+    for line in 0..lines {
+        llc.access(line, line.is_multiple_of(2));
+    }
+    let mut next = lines;
+    c.bench_function("simcpu_llc_access_miss", |b| {
+        b.iter(|| {
+            next += 1;
+            llc.access(black_box(next), next.is_multiple_of(2))
+        })
+    });
+}
+
+fn bench_nvm_write(c: &mut Harness) {
+    // A symbolic device of about the 64 MiB Timing system's 1.3 M lines,
+    // every line written once (so no timed write allocates), then written
+    // with a large odd stride, so consecutive writes land on far-apart
+    // per-line records.
+    let geometry = DimmGeometry::new(18, 9, 2, 16, 80, 1024);
+    let mut dimm = NvmDimm::symbolic(geometry, 1);
+    let lines = geometry.total_lines();
+    for line in 0..lines {
+        dimm.write_line(LineAddr::new(line), &[0u8; 64]);
+    }
+    let mut i = 0u64;
+    c.bench_function("nvm_symbolic_write_line", |b| {
+        b.iter(|| {
+            i = (i + 7919) % lines;
+            dimm.write_line(LineAddr::new(i), black_box(&[0u8; 64]))
+        })
     });
 }
 
@@ -457,6 +500,8 @@ fn main() {
     bench_mdcache(&mut harness);
     bench_counter_codec(&mut harness);
     bench_controller(&mut harness);
+    bench_simcpu_llc(&mut harness);
+    bench_nvm_write(&mut harness);
     bench_timing_system(&mut harness);
     bench_write_stages(&mut harness);
     bench_obs(&mut harness);

@@ -325,8 +325,14 @@ fn cmd_perf(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `--fit`, bounded like the wire's `fit` field.
+fn fit_option(args: &Args, default: f64) -> Result<f64, String> {
+    soteria_faultsim::checked_fit(args.get_num("fit", default)?)
+        .map_err(|e| format!("option --fit: {e}"))
+}
+
 fn cmd_campaign(args: &Args) -> Result<(), String> {
-    let fit = args.get_num("fit", 80.0f64)?;
+    let fit = fit_option(args, 80.0)?;
     let iters = args.get_num("iters", 100_000u64)?;
     let mut config = CampaignConfig::table4(fit);
     config.iterations = iters;
@@ -396,7 +402,7 @@ fn cmd_campaign(args: &Args) -> Result<(), String> {
 fn cmd_compare(args: &Args) -> Result<(), String> {
     let defaults = CompareConfig::default();
     let mut config = CompareConfig {
-        fit_per_chip: args.get_num("fit", defaults.fit_per_chip)?,
+        fit_per_chip: fit_option(args, defaults.fit_per_chip)?,
         iterations: args.get_num("iters", defaults.iterations)?,
         trace_ops: args.get_num("ops", defaults.trace_ops)?,
         capacity_bytes: args.get_num("capacity", defaults.capacity_bytes)?,
@@ -449,7 +455,7 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_rare(args: &Args) -> Result<(), String> {
-    let fit = args.get_num("fit", 80.0f64)?;
+    let fit = fit_option(args, 80.0)?;
     let samples = args.get_num("samples", 3000u64)?;
     let config = CampaignConfig::table4(fit);
     let results = estimate_clone_udr(

@@ -156,6 +156,28 @@ fn coordinate_rejects_an_unknown_kind() {
     );
 }
 
+/// A FIT past the bound once hung `campaign` and `rare` in the Poisson
+/// sampler, and a negative one panicked; each command that reads `--fit`
+/// now fails with the one bounded-FIT message instead.
+#[test]
+fn fit_options_are_bounded() {
+    for (fit, shown) in [("1e300", "1e300"), ("-1", "-1.0")] {
+        for cmd in [
+            &["campaign", "--fit", fit, "--iters", "1"][..],
+            &["rare", "--fit", fit, "--samples", "1"],
+            &["compare", "--fit", fit, "--iters", "1", "--ops", "1"],
+        ] {
+            let out = soteria().args(cmd).output().expect("spawn");
+            assert_eq!(out.status.code(), Some(1), "{cmd:?}");
+            let want = format!(
+                "error: option --fit: FIT per chip must be a positive number of at most 10000, \
+                 got {shown}\n"
+            );
+            assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{cmd:?}");
+        }
+    }
+}
+
 #[test]
 fn crash_demo_with_fault_recovers_under_src() {
     let out = soteria()

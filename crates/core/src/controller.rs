@@ -194,11 +194,84 @@ pub struct SecureMemoryController {
 #[derive(Default)]
 struct CommitScratch {
     pinned: Vec<LineAddr>,
-    planned: Vec<(MetaId, [u8; COUNTERS_PER_BLOCK as usize])>,
-    leaves: Vec<(MetaId, [u8; 64])>,
+    bumps: Vec<SlotBumps>,
+    leaves: Vec<StagedLeaf>,
     staged: Vec<(LineAddr, [u8; 64], WriteCategory)>,
     shadow: Vec<(u64, [u8; 64])>,
     group: Vec<PendingWrite>,
+}
+
+/// One counter slot a transaction bumps: its leaf's index in the
+/// transaction's leaf list, the slot, and how many times it bumps.
+#[derive(Clone, Copy, Debug)]
+struct SlotBumps {
+    leaf: usize,
+    slot: usize,
+    bumps: u8,
+}
+
+/// A leaf counter block a transaction writes under: decoded while the
+/// writes bump it, serialized once when the group is staged.
+#[derive(Clone, Copy, Debug)]
+struct StagedLeaf {
+    meta: MetaId,
+    block: CounterBlock,
+    image: [u8; 64],
+}
+
+/// Plans a transaction's counter bumps into the (cleared) vectors: its
+/// leaves in first-write order, not yet fetched, and how many times each
+/// touched counter slot bumps.
+fn plan_bumps(
+    layout: &MemoryLayout,
+    writes: &[(DataAddr, [u8; 64])],
+    leaves: &mut Vec<StagedLeaf>,
+    bumps: &mut Vec<SlotBumps>,
+) {
+    leaves.clear();
+    bumps.clear();
+    for &(addr, _) in writes {
+        let meta = layout.counter_block_of(addr);
+        let slot = layout.counter_slot_of(addr);
+        let leaf = match leaves.iter().position(|l| l.meta == meta) {
+            Some(i) => i,
+            None => {
+                leaves.push(StagedLeaf {
+                    meta,
+                    block: CounterBlock::new(),
+                    image: [0; 64],
+                });
+                leaves.len() - 1
+            }
+        };
+        match bumps.iter_mut().find(|b| b.leaf == leaf && b.slot == slot) {
+            Some(b) => b.bumps = b.bumps.saturating_add(1),
+            None => bumps.push(SlotBumps {
+                leaf,
+                slot,
+                bumps: 1,
+            }),
+        }
+    }
+}
+
+/// The bumps of the slot a transaction takes past the Osiris `limit`,
+/// if any: the first such leaf's lowest such slot, as a scan of every
+/// leaf's 64 slots finds it.
+fn over_budget(bumps: &[SlotBumps], limit: u8) -> Option<u8> {
+    bumps
+        .iter()
+        .filter(|b| b.bumps > limit)
+        .min_by_key(|b| (b.leaf, b.slot))
+        .map(|b| b.bumps)
+}
+
+/// Whether the planned bumps of leaf `leaf` take any slot of its cached
+/// block past the Osiris `limit`.
+fn bumps_exceed(blk: &CachedBlock, bumps: &[SlotBumps], leaf: usize, limit: u8) -> bool {
+    bumps
+        .iter()
+        .any(|b| b.leaf == leaf && blk.slot_updates(b.slot).saturating_add(b.bumps) > limit)
 }
 
 impl std::fmt::Debug for SecureMemoryController {
@@ -714,8 +787,7 @@ impl SecureMemoryController {
     fn build_shadow_record(&self, meta: MetaId, bytes: &[u8; 64]) -> ShadowRecord {
         let mut lsbs = [0u16; 8];
         if meta.level == 1 {
-            let cb = CounterBlock::from_bytes(bytes);
-            lsbs[0] = cb.major() as u16;
+            lsbs[0] = CounterBlock::major_in(bytes) as u16;
         } else {
             let node = TocNode::from_bytes(bytes);
             for (i, lsb) in lsbs.iter_mut().enumerate() {
@@ -951,7 +1023,7 @@ impl SecureMemoryController {
             let written = self.writeback_block(meta, bytes, pinned)?;
             let blk = self.resident_mut(addr);
             blk.data = written;
-            blk.slot_updates = [0; 64];
+            blk.clear_slot_updates();
             self.cache.mark_clean(addr);
             current = self.layout.parent_of(meta);
         }
@@ -1029,29 +1101,16 @@ impl SecureMemoryController {
         let mut pinned = std::mem::take(&mut self.scratch.pinned);
         pinned.clear();
 
-        // Per-leaf bump plan: how many times each counter slot will bump.
-        let mut planned = std::mem::take(&mut self.scratch.planned);
-        planned.clear();
-        for &(addr, _) in writes {
-            let leaf = self.layout.counter_block_of(addr);
-            let slot = self.layout.counter_slot_of(addr);
-            match planned.iter_mut().find(|(m, _)| *m == leaf) {
-                Some((_, bumps)) => bumps[slot] = bumps[slot].saturating_add(1),
-                None => {
-                    let mut bumps = [0u8; COUNTERS_PER_BLOCK as usize];
-                    bumps[slot] = 1;
-                    planned.push((leaf, bumps));
-                }
-            }
-        }
+        // Bump plan, over the slots the transaction touches.
+        let mut leaves = std::mem::take(&mut self.scratch.leaves);
+        let mut bumps = std::mem::take(&mut self.scratch.bumps);
+        plan_bumps(&self.layout, writes, &mut leaves, &mut bumps);
         let osiris_limit = self.config.osiris_limit();
-        for (_, bumps) in &planned {
-            if let Some(&over) = bumps.iter().find(|&&b| b > osiris_limit) {
-                return Err(MemoryError::TransactionExceedsOsirisBudget {
-                    slot_bumps: over,
-                    osiris_limit,
-                });
-            }
+        if let Some(slot_bumps) = over_budget(&bumps, osiris_limit) {
+            return Err(MemoryError::TransactionExceedsOsirisBudget {
+                slot_bumps,
+                osiris_limit,
+            });
         }
 
         // Stage the transaction: leaf overlays (counter bumps) and the
@@ -1065,8 +1124,6 @@ impl SecureMemoryController {
         // staged bytes — but it puts write k's AES keystream and write
         // k-1's SHA compressions side by side with no data dependency,
         // so the two units overlap instead of serialising per write.
-        let mut leaves = std::mem::take(&mut self.scratch.leaves);
-        leaves.clear();
         let mut staged = std::mem::take(&mut self.scratch.staged);
         staged.clear();
         struct PendingTag {
@@ -1077,61 +1134,56 @@ impl SecureMemoryController {
             off: usize,
         }
         let mut pending: Option<PendingTag> = None;
+        // Leaves `..fetched` are resident and decoded. The plan listed the
+        // leaves in first-write order, so a write to a leaf not yet
+        // fetched is a write to leaf `fetched`.
+        let mut fetched = 0;
         for &(addr, data) in writes {
-            let leaf = self.layout.counter_block_of(addr);
+            let meta = self.layout.counter_block_of(addr);
             let slot = self.layout.counter_slot_of(addr);
-            let li = match leaves.iter().position(|(m, _)| *m == leaf) {
+            let li = match leaves[..fetched].iter().position(|l| l.meta == meta) {
                 Some(i) => i,
                 None => {
-                    self.fetch_meta(leaf, &mut pinned)?;
-                    let leaf_addr = self.layout.meta_addr(leaf);
+                    debug_assert_eq!(leaves[fetched].meta, meta);
+                    self.fetch_meta(meta, &mut pinned)?;
+                    let leaf_addr = self.layout.meta_addr(meta);
                     // Osiris pre-normalization: if this transaction's
                     // bumps would push a slot past the recovery trial
                     // budget, write back the *committed* (pre-transaction)
                     // leaf first — always safe, never torn.
                     if self.config.tree_update().lazy_osiris() {
-                        let bumps = planned
-                            .iter()
-                            .find(|(m, _)| *m == leaf)
-                            .map(|(_, b)| *b)
-                            .unwrap_or([0; COUNTERS_PER_BLOCK as usize]);
                         let needs_wb = {
                             let blk = self.resident(leaf_addr);
-                            blk.is_dirty()
-                                && blk
-                                    .slot_updates
-                                    .iter()
-                                    .zip(bumps.iter())
-                                    .any(|(&u, &b)| b > 0 && u.saturating_add(b) > osiris_limit)
+                            blk.is_dirty() && bumps_exceed(blk, &bumps, fetched, osiris_limit)
                         };
                         if needs_wb {
                             self.stats.osiris_writebacks += 1;
                             self.obs.metrics.inc("ctl.osiris_writebacks", 1);
                             self.obs.trace.emit_with("ctl", "osiris_writeback", || {
-                                obs_fields![("leaf", leaf.index)]
+                                obs_fields![("leaf", meta.index)]
                             });
                             let bytes = self.resident(leaf_addr).data;
-                            let written = self.writeback_block(leaf, bytes, &mut pinned)?;
+                            let written = self.writeback_block(meta, bytes, &mut pinned)?;
                             let blk = self.resident_mut(leaf_addr);
                             blk.data = written;
-                            blk.slot_updates = [0; 64];
+                            blk.clear_slot_updates();
                             self.cache.mark_clean(leaf_addr);
                         }
                     }
-                    leaves.push((leaf, self.resident(leaf_addr).data));
-                    leaves.len() - 1
+                    leaves[fetched].block =
+                        CounterBlock::from_bytes(&self.resident(leaf_addr).data);
+                    fetched += 1;
+                    fetched - 1
                 }
             };
             // Bump the staged counter, handling overflow (page
             // re-encryption) first. Re-encryption rewrites committed
             // data under the old counters and is pushed pre-commit.
-            let mut cb = CounterBlock::from_bytes(&leaves[li].1);
-            if cb.minor(slot) + 1 == MINOR_LIMIT {
-                self.reencrypt_page(leaf, &cb, &mut pinned)?;
+            if leaves[li].block.minor(slot) + 1 == MINOR_LIMIT {
+                self.reencrypt_page(meta, &leaves[li].block, &mut pinned)?;
             }
-            cb.bump(slot);
-            leaves[li].1 = cb.to_bytes();
-            let counter = cb.counter(slot);
+            leaves[li].block.bump(slot);
+            let counter = leaves[li].block.counter(slot);
             // Ciphertext line.
             let line_addr = self.layout.data_line_addr(addr);
             let ciphertext = match &self.cipher {
@@ -1179,15 +1231,18 @@ impl SecureMemoryController {
                 bytes[job.off..job.off + 8].copy_from_slice(&tag.to_le_bytes());
             }
         }
+        for leaf in &mut leaves {
+            leaf.image = leaf.block.to_bytes();
+        }
         // Shadow entries for the final staged leaf images ride in the
         // same group (Lazy / lazily-tracked levels only).
         let mut shadow_updates = std::mem::take(&mut self.scratch.shadow);
         shadow_updates.clear();
         if self.config.tree_update().leaf_shadowed() {
-            for &(leaf, bytes) in &leaves {
-                let record = self.build_shadow_record(leaf, &bytes);
+            for leaf in &leaves {
+                let record = self.build_shadow_record(leaf.meta, &leaf.image);
                 let entry = encode_entry(&record, self.config.shadow_mode());
-                let slot = self.resident_slot(self.layout.meta_addr(leaf));
+                let slot = self.resident_slot(self.layout.meta_addr(leaf.meta));
                 self.obs.metrics.inc("ctl.shadow_writes", 1);
                 stage_line(
                     &mut staged,
@@ -1218,20 +1273,17 @@ impl SecureMemoryController {
             AcceptOutcome::Dead => (false, self.wpq.events()),
         };
 
-        // Post-commit: fold the staged leaf images into the cache and
-        // update the volatile shadow-tree registers (alive only).
-        for &(leaf, bytes) in &leaves {
-            let leaf_addr = self.layout.meta_addr(leaf);
+        // Post-commit: fold the staged leaf images and their slots' bump
+        // counts into the cache, and update the volatile shadow-tree
+        // registers (alive only).
+        for (li, leaf) in leaves.iter().enumerate() {
+            let leaf_addr = self.layout.meta_addr(leaf.meta);
             let blk = self.resident_mut(leaf_addr);
-            blk.data = bytes;
-            self.cache.mark_dirty(leaf_addr);
-        }
-        for (leaf, bumps) in &planned {
-            let leaf_addr = self.layout.meta_addr(*leaf);
-            let blk = self.resident_mut(leaf_addr);
-            for (u, b) in blk.slot_updates.iter_mut().zip(bumps.iter()) {
-                *u = u.saturating_add(*b);
+            blk.data = leaf.image;
+            for b in bumps.iter().filter(|b| b.leaf == li) {
+                blk.add_slot_updates(b.slot, b.bumps);
             }
+            self.cache.mark_dirty(leaf_addr);
         }
         if !self.wpq.is_dead() {
             if let Some(tree) = &mut self.shadow_tree {
@@ -1252,14 +1304,11 @@ impl SecureMemoryController {
         // commit groups.
         let update = self.config.tree_update();
         if update.lazy_osiris() {
-            for &(leaf, _) in &leaves {
+            for &StagedLeaf { meta: leaf, .. } in &leaves {
                 let leaf_addr = self.layout.meta_addr(leaf);
                 let (do_osiris_writeback, leaf_bytes) = {
                     let blk = self.resident(leaf_addr);
-                    (
-                        blk.slot_updates.iter().any(|&u| u >= osiris_limit),
-                        blk.data,
-                    )
+                    (blk.max_slot_updates() >= osiris_limit, blk.data)
                 };
                 if do_osiris_writeback {
                     self.stats.osiris_writebacks += 1;
@@ -1270,14 +1319,14 @@ impl SecureMemoryController {
                     let bytes = self.writeback_block(leaf, leaf_bytes, &mut pinned)?;
                     let blk = self.resident_mut(leaf_addr);
                     blk.data = bytes;
-                    blk.slot_updates = [0; 64];
+                    blk.clear_slot_updates();
                     self.cache.mark_clean(leaf_addr);
                 }
             }
         }
         if let Some(ceiling) = update.persist_ceiling() {
-            for &(leaf, _) in &leaves {
-                self.eager_propagate(leaf, ceiling, &mut pinned)?;
+            for leaf in &leaves {
+                self.eager_propagate(leaf.meta, ceiling, &mut pinned)?;
             }
         }
         if let Some(period) = update.flush_period() {
@@ -1287,15 +1336,15 @@ impl SecureMemoryController {
                 self.obs.trace.emit_with("ctl", "coalesced_flush", || {
                     obs_fields![("period", u64::from(period))]
                 });
-                for &(leaf, _) in &leaves {
-                    self.eager_propagate(leaf, u8::MAX, &mut pinned)?;
+                for leaf in &leaves {
+                    self.eager_propagate(leaf.meta, u8::MAX, &mut pinned)?;
                 }
             }
         }
         // Return the scratch capacity for the next commit (contents are
         // dead; an early error return simply re-allocates next time).
         self.scratch.pinned = pinned;
-        self.scratch.planned = planned;
+        self.scratch.bumps = bumps;
         self.scratch.leaves = leaves;
         self.scratch.staged = staged;
         self.scratch.shadow = shadow_updates;
@@ -1324,7 +1373,7 @@ impl SecureMemoryController {
         let slot = self.layout.counter_slot_of(addr);
         self.fetch_meta(leaf, &mut pinned)?;
         let leaf_addr = self.layout.meta_addr(leaf);
-        let counter = CounterBlock::from_bytes(&self.resident(leaf_addr).data).counter(slot);
+        let counter = CounterBlock::counter_in(&self.resident(leaf_addr).data, slot);
 
         let line_addr = self.layout.data_line_addr(addr);
         let (ciphertext, outcome) = self.nvm_read(line_addr);
@@ -1381,7 +1430,7 @@ impl SecureMemoryController {
                         cb.bump(slot);
                     }
                     blk.data = cb.to_bytes();
-                    blk.slot_updates[slot] = blk.slot_updates[slot].saturating_add(t as u8);
+                    blk.add_slot_updates(slot, t as u8);
                     self.cache.mark_dirty(leaf_addr);
                     return Ok(self.functional_cipher().decrypt_line(
                         &ciphertext,
@@ -1429,7 +1478,7 @@ impl SecureMemoryController {
             let written = self.writeback_block(meta, bytes, &mut pinned)?;
             let blk = self.resident_mut(addr);
             blk.data = written;
-            blk.slot_updates = [0; 64];
+            blk.clear_slot_updates();
             self.cache.mark_clean(addr);
         }
         let pending = self.wpq.len();
@@ -1657,6 +1706,96 @@ mod tests {
             .build()
             .unwrap();
         SecureMemoryController::new(config)
+    }
+
+    #[test]
+    fn touched_slot_plan_matches_the_64_slot_plan() {
+        // Writes to a few slots of three leaves, with repeats, against a
+        // plan that keeps 64 bump counts per leaf. Both must report the
+        // same `TransactionExceedsOsirisBudget` count, make the same
+        // Osiris pre-normalization call for a leaf with prior in-cache
+        // updates, leave the same per-slot counts after the commit, and
+        // agree on the post-commit Osiris writeback.
+        use soteria_rt::prop::{check, vec, Config};
+        const SLOTS: usize = COUNTERS_PER_BLOCK as usize;
+        let layout = SecureMemoryConfig::builder()
+            .capacity_bytes(1 << 20)
+            .build()
+            .unwrap()
+            .build_layout();
+        check(
+            "touched_slot_plan_matches_the_64_slot_plan",
+            &Config::with_cases(256),
+            &(
+                vec((0u64..3, 0u64..5), 1..40usize),
+                1u8..12,
+                vec((0usize..3, 0u64..5, 0u8..12), 0..12usize),
+            ),
+            |(picks, limit, prior)| {
+                let slot_of = |k: u64| (k * 29 % SLOTS as u64) as usize;
+                let writes: Vec<(DataAddr, [u8; 64])> = picks
+                    .iter()
+                    .map(|&(leaf, k)| {
+                        let line = (leaf * 7 + 2) * COUNTERS_PER_BLOCK + slot_of(k) as u64;
+                        (DataAddr::new(line), [0; 64])
+                    })
+                    .collect();
+                let (mut leaves, mut bumps) = (Vec::new(), Vec::new());
+                plan_bumps(&layout, &writes, &mut leaves, &mut bumps);
+
+                // The 64-slot plan and its budget check.
+                let mut planned: Vec<(MetaId, [u8; SLOTS])> = Vec::new();
+                for &(addr, _) in &writes {
+                    let leaf = layout.counter_block_of(addr);
+                    let slot = layout.counter_slot_of(addr);
+                    match planned.iter_mut().find(|(m, _)| *m == leaf) {
+                        Some((_, b)) => b[slot] = b[slot].saturating_add(1),
+                        None => {
+                            let mut b = [0u8; SLOTS];
+                            b[slot] = 1;
+                            planned.push((leaf, b));
+                        }
+                    }
+                }
+                let want = planned
+                    .iter()
+                    .find_map(|(_, b)| b.iter().find(|&&n| n > *limit).copied());
+                soteria_rt::prop_assert_eq!(over_budget(&bumps, *limit), want);
+                let metas: Vec<MetaId> = leaves.iter().map(|l| l.meta).collect();
+                let want_metas: Vec<MetaId> = planned.iter().map(|(m, _)| *m).collect();
+                soteria_rt::prop_assert_eq!(metas, want_metas);
+
+                for (li, (meta, plan)) in planned.iter().enumerate() {
+                    let mut blk = CachedBlock::clean(*meta, [0; 64]);
+                    let mut model = [0u8; SLOTS];
+                    for &(leaf, k, n) in prior {
+                        if leaf == li {
+                            blk.add_slot_updates(slot_of(k), n);
+                            model[slot_of(k)] = model[slot_of(k)].saturating_add(n);
+                        }
+                    }
+                    let exceeds = model
+                        .iter()
+                        .zip(plan.iter())
+                        .any(|(&u, &b)| b > 0 && u.saturating_add(b) > *limit);
+                    soteria_rt::prop_assert_eq!(bumps_exceed(&blk, &bumps, li, *limit), exceeds);
+                    for b in bumps.iter().filter(|b| b.leaf == li) {
+                        blk.add_slot_updates(b.slot, b.bumps);
+                    }
+                    for (u, b) in model.iter_mut().zip(plan.iter()) {
+                        *u = u.saturating_add(*b);
+                    }
+                    for (slot, &u) in model.iter().enumerate() {
+                        soteria_rt::prop_assert_eq!(blk.slot_updates(slot), u, "slot {}", slot);
+                    }
+                    soteria_rt::prop_assert_eq!(
+                        blk.max_slot_updates() >= *limit,
+                        model.iter().any(|&u| u >= *limit)
+                    );
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -95,6 +95,29 @@ impl CounterBlock {
             .wrapping_add(self.minors[slot] as u64)
     }
 
+    /// The combined counter of `slot` read straight from a serialized
+    /// block: `from_bytes(bytes).counter(slot)` without decoding the
+    /// other 63 minors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= 64`.
+    pub fn counter_in(bytes: &[u8; 64], slot: usize) -> u64 {
+        let at = 8 + slot / MINORS_PER_WORD * WORD_BYTES;
+        let mut le = [0u8; 8];
+        le[..WORD_BYTES].copy_from_slice(&bytes[at..at + WORD_BYTES]);
+        let shift = (slot % MINORS_PER_WORD) as u32 * MINOR_BITS;
+        let minor = (u64::from_le_bytes(le) >> shift) & (MINOR_LIMIT as u64 - 1);
+        Self::major_in(bytes)
+            .wrapping_mul(MINOR_LIMIT as u64)
+            .wrapping_add(minor)
+    }
+
+    /// The major counter read straight from a serialized block.
+    pub fn major_in(bytes: &[u8; 64]) -> u64 {
+        soteria_rt::bytes::u64_le(&bytes[..8])
+    }
+
     /// Increments the minor counter of `slot`.
     ///
     /// On overflow the block bumps its major, resets every minor and
@@ -154,7 +177,7 @@ impl CounterBlock {
 
     /// Deserializes from a 64-byte line.
     pub fn from_bytes(bytes: &[u8; 64]) -> Self {
-        let major = soteria_rt::bytes::u64_le(&bytes[..8]);
+        let major = Self::major_in(bytes);
         let mut minors = [0u8; MINORS];
         for (group, minors) in minors.chunks_exact_mut(MINORS_PER_WORD).enumerate() {
             let at = 8 + group * WORD_BYTES;
@@ -295,6 +318,11 @@ mod tests {
                     block.set_minor(slot, m);
                 }
                 prop_assert_eq!(block.to_bytes(), to_bytes_bitwise(&block));
+                let decoded = CounterBlock::from_bytes(line);
+                prop_assert_eq!(CounterBlock::major_in(line), decoded.major());
+                for slot in 0..MINORS {
+                    prop_assert_eq!(CounterBlock::counter_in(line, slot), decoded.counter(slot));
+                }
                 prop_assert_eq!(CounterBlock::from_bytes(line), from_bytes_bitwise(line));
                 prop_assert_eq!(CounterBlock::from_bytes(&block.to_bytes()), block);
                 Ok(())

@@ -27,7 +27,10 @@ pub struct CachedBlock {
     /// Per-slot update counts since the last writeback (Osiris bounds
     /// counter trials by bounding in-cache updates). Only meaningful for
     /// leaf counter blocks.
-    pub slot_updates: [u8; 64],
+    slot_updates: [u8; 64],
+    /// The largest of `slot_updates`, kept as they change, so the Osiris
+    /// test after a commit is one comparison.
+    max_slot_updates: u8,
 }
 
 impl CachedBlock {
@@ -38,6 +41,7 @@ impl CachedBlock {
             data,
             dirty: false,
             slot_updates: [0; 64],
+            max_slot_updates: 0,
         }
     }
 
@@ -53,6 +57,37 @@ impl CachedBlock {
     /// Whether a write-back is pending.
     pub fn is_dirty(&self) -> bool {
         self.dirty
+    }
+
+    /// Updates of counter `slot` since the last writeback.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= 64`.
+    pub(crate) fn slot_updates(&self, slot: usize) -> u8 {
+        self.slot_updates[slot]
+    }
+
+    /// The most updates of any one slot since the last writeback.
+    pub(crate) fn max_slot_updates(&self) -> u8 {
+        self.max_slot_updates
+    }
+
+    /// Counts `n` more updates of counter `slot` (saturating).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= 64`.
+    pub(crate) fn add_slot_updates(&mut self, slot: usize, n: u8) {
+        let updates = self.slot_updates[slot].saturating_add(n);
+        self.slot_updates[slot] = updates;
+        self.max_slot_updates = self.max_slot_updates.max(updates);
+    }
+
+    /// Resets every slot's update count (the block was written back).
+    pub(crate) fn clear_slot_updates(&mut self) {
+        self.slot_updates = [0; 64];
+        self.max_slot_updates = 0;
     }
 }
 

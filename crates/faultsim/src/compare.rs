@@ -428,7 +428,7 @@ pub fn compare_config_from_json(body: &Json) -> Result<CompareConfig, String> {
     let mut config = CompareConfig::default();
     for (key, value) in field::entries(body, "compare")? {
         match key.as_str() {
-            "fit" => config.fit_per_chip = field::positive(value, "fit")?,
+            "fit" => config.fit_per_chip = field::fit(value)?,
             "iterations" => config.iterations = field::int_at_most(value, "iterations", 1_000_000)?,
             "seed" => config.seed = field::seed(value)?,
             "threads" => config.threads = field::threads(value)?,

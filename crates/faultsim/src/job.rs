@@ -88,7 +88,7 @@ pub fn config_from_json(body: &Json) -> Result<CampaignConfig, String> {
                 // Only the target changes here; the campaign scales its
                 // mode mix to `fit_per_chip` at run time, exactly like
                 // the CLI path (identical config ⇒ identical bytes).
-                config.fit_per_chip = field::positive(value, "fit")?;
+                config.fit_per_chip = field::fit(value)?;
             }
             "iterations" => {
                 config.iterations = field::int_at_most(value, "iterations", 10_000_000)?
@@ -155,6 +155,12 @@ pub(crate) mod field {
             return Err(format!("field '{field}' must be a positive number"));
         }
         Ok(n)
+    }
+
+    /// The `fit` field: a FIT per chip that campaigns accept.
+    pub(crate) fn fit(v: &Json) -> Result<f64, String> {
+        let n = num(v, "fit")?;
+        crate::rates::checked_fit(n).map_err(|e| format!("field 'fit': {e}"))
     }
 
     /// `field` as a positive integer.
@@ -578,6 +584,38 @@ mod tests {
         assert_eq!(compare.unwrap().threads, 256);
         let crashck = crate::crashck::crashck_config_from_json(&most);
         assert_eq!(crashck.unwrap().threads, 256);
+    }
+
+    #[test]
+    fn every_wire_parser_bounds_fit() {
+        // An unbounded FIT made a campaign's Poisson draws loop for good;
+        // every body that carries `fit` now rejects it past the bound.
+        let max = crate::rates::MAX_FIT_PER_CHIP;
+        for fit in ["1e300", "10000.5", "-1", "0"] {
+            let body = Json::parse(&format!(r#"{{"fit": {fit}}}"#)).unwrap();
+            let want = format!(
+                "field 'fit': {}",
+                crate::rates::FitOutOfRange(fit.parse().unwrap())
+            );
+            for kind in ["campaign", "compare"] {
+                assert_eq!(JobSpec::from_kind(kind, &body).unwrap_err(), want, "{kind}");
+                let shard = Json::Obj(vec![
+                    ("kind".into(), Json::Str(kind.into())),
+                    ("lo".into(), Json::Num(0.0)),
+                    ("hi".into(), Json::Num(1.0)),
+                    ("config".into(), body.clone()),
+                ]);
+                let err = crate::shard::blocks_spec_from_json(&shard).unwrap_err();
+                assert_eq!(err, want, "{kind}");
+            }
+            assert_eq!(config_from_json(&body).unwrap_err(), want);
+            let compare = crate::compare::compare_config_from_json(&body);
+            assert_eq!(compare.unwrap_err(), want);
+        }
+        let most = Json::parse(&format!(r#"{{"fit": {max}}}"#)).unwrap();
+        assert_eq!(config_from_json(&most).unwrap().fit_per_chip, max);
+        let compare = crate::compare::compare_config_from_json(&most);
+        assert_eq!(compare.unwrap().fit_per_chip, max);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use job::{
     config_from_json, report_json, run_job, run_spec, JobOutput, JobSpec, STANDARD_POLICIES,
 };
 pub use rare::{estimate_clone_udr, RareEventResult};
-pub use rates::{FaultMode, FitRates};
+pub use rates::{checked_fit, FaultMode, FitOutOfRange, FitRates, MAX_FIT_PER_CHIP};
 pub use shard::{blocks_spec_from_json, merge_partials, run_block_range, total_blocks};
 
 /// Hours in the five-year simulated service life used by the paper.

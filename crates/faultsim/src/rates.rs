@@ -27,6 +27,43 @@ pub enum FaultMode {
     MultiRank,
 }
 
+/// The highest FIT per chip that a campaign, a compare job or the
+/// rare-event estimator accepts from its input. Field studies report
+/// tens of FIT per device (Hopper totals 84.4), so the bound leaves room
+/// for any sweep, while keeping every Poisson mean a campaign draws small
+/// enough that a draw ends quickly.
+pub const MAX_FIT_PER_CHIP: f64 = 10_000.0;
+
+/// A FIT per chip outside `(0, MAX_FIT_PER_CHIP]`: not positive, not a
+/// number, or too large.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FitOutOfRange(pub f64);
+
+impl std::fmt::Display for FitOutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "FIT per chip must be a positive number of at most {MAX_FIT_PER_CHIP}, got {:?}",
+            self.0
+        )
+    }
+}
+
+impl std::error::Error for FitOutOfRange {}
+
+/// `fit` if it is a FIT per chip that campaigns accept.
+///
+/// # Errors
+///
+/// [`FitOutOfRange`] unless `0 < fit <= MAX_FIT_PER_CHIP`.
+pub fn checked_fit(fit: f64) -> Result<f64, FitOutOfRange> {
+    if fit > 0.0 && fit <= MAX_FIT_PER_CHIP {
+        Ok(fit)
+    } else {
+        Err(FitOutOfRange(fit))
+    }
+}
+
 /// All modes, in a stable order.
 pub const ALL_MODES: [FaultMode; 7] = [
     FaultMode::SingleBit,

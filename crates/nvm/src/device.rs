@@ -24,7 +24,6 @@ use soteria_rt::obs_fields;
 
 use crate::fault::{FaultKind, FaultRecord};
 use crate::geometry::DimmGeometry;
-use crate::paged::LineTable;
 use crate::wear::{StartGapLeveler, WearTracker};
 use crate::LineAddr;
 
@@ -43,22 +42,21 @@ pub struct DeviceStats {
 
 struct FunctionalStore {
     codec: Box<dyn LineCodec + Send + Sync>,
-    // Flat line table indexed by physical line index, grown lazily toward
-    // the geometry's total (plus the start-gap spare); an empty codeword
-    // Vec marks a never-written line. Physical indices are dense and
-    // bounded, so direct indexing replaces an ordered-map lookup on every
-    // read and write of the controller's hot path.
-    lines: Vec<(Vec<u8>, u64)>, // codeword, write epoch
+    // Codeword per physical line index, grown lazily toward the
+    // geometry's total (plus the start-gap spare); an empty codeword
+    // marks a never-written line. Physical indices are dense and bounded,
+    // so direct indexing replaces an ordered-map lookup on every read and
+    // write of the controller's hot path. Write epochs live in the
+    // device's per-line records, beside the wear counts.
+    lines: Vec<Vec<u8>>,
 }
 
 impl FunctionalStore {
-    fn get(&self, idx: u64) -> Option<&(Vec<u8>, u64)> {
-        self.lines
-            .get(idx as usize)
-            .filter(|(cw, _)| !cw.is_empty())
+    fn get(&self, idx: u64) -> Option<&Vec<u8>> {
+        self.lines.get(idx as usize).filter(|cw| !cw.is_empty())
     }
 
-    fn slot_mut(lines: &mut Vec<(Vec<u8>, u64)>, idx: u64) -> &mut (Vec<u8>, u64) {
+    fn slot_mut(lines: &mut Vec<Vec<u8>>, idx: u64) -> &mut Vec<u8> {
         let idx = idx as usize;
         if idx >= lines.len() {
             lines.resize_with(idx + 1, Default::default);
@@ -70,10 +68,6 @@ impl FunctionalStore {
 struct SymbolicStore {
     correctable_chips: usize,
     beats: u8,
-    // Write epoch per physical line (zero = never written), paged so a
-    // device whose metadata regions sit far above its data lines stays
-    // sparse.
-    epochs: LineTable,
 }
 
 enum Storage {
@@ -88,6 +82,8 @@ pub struct NvmDimm {
     faults: Vec<FaultRecord>,
     write_epoch: u64,
     stats: DeviceStats,
+    // Per physical line: write epoch (for transient-fault liveness) and
+    // wear count, in one record for either store.
     wear: WearTracker,
     leveler: Option<StartGapLeveler>,
     // ECP-6 per line, lazily allocated on write-verify (None = disabled).
@@ -141,7 +137,7 @@ impl NvmDimm {
             faults: Vec::new(),
             write_epoch: 0,
             stats: DeviceStats::default(),
-            wear: WearTracker::new(),
+            wear: WearTracker::default(),
             leveler: None,
             ecp: None,
             ecp_repaired_bits: 0,
@@ -158,12 +154,11 @@ impl NvmDimm {
             storage: Storage::Symbolic(SymbolicStore {
                 correctable_chips,
                 beats: 4,
-                epochs: LineTable::default(),
             }),
             faults: Vec::new(),
             write_epoch: 0,
             stats: DeviceStats::default(),
-            wear: WearTracker::new(),
+            wear: WearTracker::default(),
             leveler: None,
             ecp: None,
             ecp_repaired_bits: 0,
@@ -261,19 +256,15 @@ impl NvmDimm {
     }
 
     fn move_physical_line(&mut self, from: u64, to: u64) {
-        match &mut self.storage {
-            Storage::Functional(fs) => {
-                // `take` leaves `(empty, 0)` behind, which is exactly the
-                // vacant marker — a vacant source therefore clears `to`.
-                let moved = std::mem::take(FunctionalStore::slot_mut(&mut fs.lines, from));
-                *FunctionalStore::slot_mut(&mut fs.lines, to) = moved;
-            }
-            Storage::Symbolic(ss) => {
-                // A vacant source (epoch 0) clears `to`, as above.
-                let epoch = ss.epochs.take(from);
-                ss.epochs.set(to, epoch);
-            }
+        if let Storage::Functional(fs) = &mut self.storage {
+            // `take` leaves an empty codeword behind, which is exactly the
+            // vacant marker — a vacant source therefore clears `to`.
+            let moved = std::mem::take(FunctionalStore::slot_mut(&mut fs.lines, from));
+            *FunctionalStore::slot_mut(&mut fs.lines, to) = moved;
         }
+        // The epoch travels with the data (a vacant source's zero clears
+        // `to`, as above); wear counts stay with the cells.
+        self.wear.move_epoch(LineAddr::new(from), LineAddr::new(to));
     }
 
     /// The device geometry.
@@ -356,16 +347,15 @@ impl NvmDimm {
         let phys = self.translate(addr);
         self.write_epoch += 1;
         self.stats.writes += 1;
-        self.wear.record_write(phys);
+        self.wear.record_write(phys, self.write_epoch);
         match &mut self.storage {
             Storage::Functional(fs) => {
                 // Overwrites (the common case: counters, MAC lines, tree
                 // nodes) re-encode into the line's existing codeword
                 // allocation.
-                let entry = FunctionalStore::slot_mut(&mut fs.lines, phys.index());
-                fs.codec.encode_line_into(line, &mut entry.0);
-                entry.1 = self.write_epoch;
-                let cw = &entry.0;
+                let cw = FunctionalStore::slot_mut(&mut fs.lines, phys.index());
+                fs.codec.encode_line_into(line, cw);
+                let cw = &*cw;
                 // Write-verify: with ECP enabled, a read-back after the
                 // write exposes cells pinned by permanent single-bit
                 // faults; each gets a repair pointer holding the bit's
@@ -400,16 +390,7 @@ impl NvmDimm {
                     }
                 }
             }
-            Storage::Symbolic(ss) => {
-                ss.epochs.set(phys.index(), self.write_epoch);
-            }
-        }
-    }
-
-    fn line_epoch(&self, phys: LineAddr) -> u64 {
-        match &self.storage {
-            Storage::Functional(fs) => fs.get(phys.index()).map_or(0, |(_, e)| *e),
-            Storage::Symbolic(ss) => ss.epochs.get(phys.index()),
+            Storage::Symbolic(_) => {}
         }
     }
 
@@ -440,7 +421,7 @@ impl NvmDimm {
         if self.faults.is_empty() && self.ecp.is_none() && self.marked_chips.is_empty() {
             let outcome_and_line = match &self.storage {
                 Storage::Functional(fs) => match fs.get(phys.index()) {
-                    Some((cw, _)) => fs.codec.decode_line(cw),
+                    Some(cw) => fs.codec.decode_line(cw),
                     // Never-written lines read as zeroes; encode→decode of
                     // the zero line is the identity (zero parity), so this
                     // matches the slow path byte for byte.
@@ -452,11 +433,11 @@ impl NvmDimm {
             return outcome_and_line;
         }
         let loc = self.locate_physical(phys);
-        let line_epoch = self.line_epoch(phys);
+        let line_epoch = self.wear.epoch(phys);
         let outcome_and_line = match &self.storage {
             Storage::Functional(fs) => {
                 let mut cw = match fs.get(phys.index()) {
-                    Some((cw, _)) => cw.clone(),
+                    Some(cw) => cw.clone(),
                     None => fs.codec.encode_line(&[0u8; 64]),
                 };
                 let total_chips = fs.codec.total_chips() as u32;
@@ -806,19 +787,77 @@ mod tests {
     fn sixteen_gib_device_tables_stay_sparse() {
         // A 2^29-line device, room for the 16 GiB Timing system, whose
         // shadow and clone regions sit far above its 2^28 data lines. Two
-        // far-apart writes must cost two pages of epochs and two of wear
-        // counts.
+        // far-apart writes must cost two pages of per-line records, which
+        // hold both the epochs and the wear counts.
         let g = DimmGeometry::new(18, 9, 2, 16, 32768, 1024);
         let mut d = NvmDimm::symbolic(g, 1);
         for line in [0, 300_000_000] {
             d.write_line(LineAddr::new(line), &[0u8; 64]);
         }
-        let Storage::Symbolic(ss) = &d.storage else {
-            unreachable!("symbolic device")
-        };
-        assert!(ss.epochs.allocated_pages() <= 2);
-        assert!(d.wear.allocated_pages() <= 2);
+        assert_eq!(d.wear.allocated_pages(), 2);
         assert_eq!(d.wear().writes_to(LineAddr::new(300_000_000)), 1);
+        assert_eq!(d.wear.epoch(LineAddr::new(300_000_000)), 2);
+        assert_eq!(d.wear.epoch(LineAddr::new(1)), 0);
+    }
+
+    #[test]
+    fn line_records_match_epoch_and_wear_models_under_start_gap() {
+        // Both stores, start-gap on: each write's epoch must follow the
+        // data through every gap move (a `BTreeMap` keyed by physical
+        // line, as the device kept it before), while write counts stay
+        // with the physical line. The functional store must also still
+        // read back the last value written to each logical line.
+        use soteria_rt::prop::{any, check, vec, Config};
+        let g = DimmGeometry::tiny();
+        check(
+            "line_records_match_epoch_and_wear_models_under_start_gap",
+            &Config::with_cases(32),
+            &(
+                any::<bool>(),
+                1u64..5,
+                vec((0u64..256, any::<u8>()), 1..200usize),
+            ),
+            |(functional, interval, writes)| {
+                let mut d = if *functional {
+                    NvmDimm::chipkill(g)
+                } else {
+                    NvmDimm::symbolic(g, 1)
+                };
+                d.enable_wear_leveling(*interval);
+                let mut leveler = StartGapLeveler::new(g.total_lines(), *interval);
+                let mut epochs: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut wear: BTreeMap<u64, u64> = BTreeMap::new();
+                let mut data: BTreeMap<u64, u8> = BTreeMap::new();
+                for (epoch, &(line, value)) in (1u64..).zip(writes) {
+                    d.write_line(LineAddr::new(line), &[value; 64]);
+                    if let Some((from, to)) = leveler.record_write() {
+                        match epochs.remove(&from) {
+                            Some(e) => epochs.insert(to, e),
+                            None => epochs.remove(&to),
+                        };
+                    }
+                    let phys = leveler.translate(line);
+                    epochs.insert(phys, epoch);
+                    *wear.entry(phys).or_default() += 1;
+                    data.insert(line, value);
+                }
+                for phys in 0..=g.total_lines() {
+                    let addr = LineAddr::new(phys);
+                    let epoch = epochs.get(&phys).copied().unwrap_or(0);
+                    soteria_rt::prop_assert_eq!(d.wear.epoch(addr), epoch, "line {}", phys);
+                    let n = wear.get(&phys).copied().unwrap_or(0);
+                    soteria_rt::prop_assert_eq!(d.wear().writes_to(addr), n, "line {}", phys);
+                }
+                if *functional {
+                    for line in 0..g.total_lines() {
+                        let want = data.get(&line).copied().unwrap_or(0);
+                        let (got, _) = d.read_line(LineAddr::new(line));
+                        soteria_rt::prop_assert_eq!(got, [want; 64], "line {}", line);
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

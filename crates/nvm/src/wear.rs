@@ -10,39 +10,68 @@
 use crate::paged::LineTable;
 use crate::LineAddr;
 
-/// Tracks per-line write counts.
+/// One physical line's record: both per-line facts the device keeps, so
+/// a write touches one entry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct LineRecord {
+    /// Write epoch of the data the line holds (zero = none). A start-gap
+    /// move carries it to the data's new line.
+    pub(crate) epoch: u64,
+    /// Writes the line's cells have taken. These stay with the cells.
+    pub(crate) writes: u64,
+}
+
+/// Tracks per-line write counts, and the write epoch of each physical
+/// line's data for the device's transient-fault checks.
 ///
-/// Stored in a sparse paged table indexed by line (zero = never
-/// written): the per-write increment on the controller's hot path is two
-/// array indexes, and memory grows with the pages written, not with the
-/// highest line. Report-time scans (`hottest`, `imbalance`) stay
-/// deterministic by walking in index order.
+/// Stored in a sparse paged table of per-line records indexed by physical
+/// line: the per-write update on the controller's hot path is two array
+/// indexes into one record, and memory grows with the pages written,
+/// not with the highest line. Report-time scans (`hottest`, `imbalance`)
+/// stay deterministic by walking in index order.
 #[derive(Clone, Debug, Default)]
 pub struct WearTracker {
-    writes: LineTable,
+    lines: LineTable<LineRecord>,
     written_lines: u64,
     total: u64,
 }
 
 impl WearTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one write to `addr`.
-    pub fn record_write(&mut self, addr: LineAddr) {
-        let count = self.writes.get_mut(addr.index());
-        *count += 1;
-        if *count == 1 {
+    /// Records one write to `addr` that stores data of write epoch
+    /// `epoch`.
+    pub(crate) fn record_write(&mut self, addr: LineAddr, epoch: u64) {
+        let record = self.lines.get_mut(addr.index());
+        record.epoch = epoch;
+        record.writes += 1;
+        if record.writes == 1 {
             self.written_lines += 1;
         }
         self.total += 1;
     }
 
+    /// Write epoch of the data line `addr` holds (zero = none).
+    pub(crate) fn epoch(&self, addr: LineAddr) -> u64 {
+        self.lines.get(addr.index()).epoch
+    }
+
+    /// Moves line `from`'s data epoch to line `to` (a start-gap copy);
+    /// `from` keeps none. Write counts do not move: they belong to the
+    /// cells.
+    pub(crate) fn move_epoch(&mut self, from: LineAddr, to: LineAddr) {
+        let epoch = self
+            .lines
+            .existing_mut(from.index())
+            .map_or(0, |r| std::mem::take(&mut r.epoch));
+        if epoch != 0 {
+            self.lines.get_mut(to.index()).epoch = epoch;
+        } else if let Some(r) = self.lines.existing_mut(to.index()) {
+            r.epoch = 0;
+        }
+    }
+
     /// Write count of one line.
     pub fn writes_to(&self, addr: LineAddr) -> u64 {
-        self.writes.get(addr.index())
+        self.lines.get(addr.index()).writes
     }
 
     /// Total writes across the device.
@@ -50,12 +79,20 @@ impl WearTracker {
         self.total
     }
 
+    /// Every written line and its count, in index order.
+    fn counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.lines
+            .entries()
+            .filter(|(_, r)| r.writes != 0)
+            .map(|(addr, r)| (addr, r.writes))
+    }
+
     /// The most-written line and its count, if any writes happened.
     pub fn hottest(&self) -> Option<(LineAddr, u64)> {
         // Index-order scan with strict `>`: among equally-hot lines the
         // lowest address wins.
         let mut best: Option<(u64, u64)> = None;
-        for (addr, count) in self.writes.nonzero() {
+        for (addr, count) in self.counts() {
             if best.is_none_or(|(_, c)| count > c) {
                 best = Some((addr, count));
             }
@@ -63,10 +100,10 @@ impl WearTracker {
         best.map(|(a, c)| (LineAddr::new(a), c))
     }
 
-    /// Pages of counts allocated so far.
+    /// Pages of records allocated so far.
     #[cfg(test)]
     pub(crate) fn allocated_pages(&self) -> usize {
-        self.writes.allocated_pages()
+        self.lines.allocated_pages()
     }
 
     /// Ratio of the hottest line's writes to the mean over written lines —
@@ -75,7 +112,7 @@ impl WearTracker {
         if self.written_lines == 0 {
             return 1.0;
         }
-        let max = self.writes.nonzero().map(|(_, c)| c).max().unwrap_or(0) as f64;
+        let max = self.counts().map(|(_, c)| c).max().unwrap_or(0) as f64;
         let mean = self.total as f64 / self.written_lines as f64;
         max / mean
     }
@@ -174,10 +211,10 @@ mod tests {
 
     #[test]
     fn tracker_counts() {
-        let mut w = WearTracker::new();
-        w.record_write(LineAddr::new(3));
-        w.record_write(LineAddr::new(3));
-        w.record_write(LineAddr::new(5));
+        let mut w = WearTracker::default();
+        w.record_write(LineAddr::new(3), 1);
+        w.record_write(LineAddr::new(3), 2);
+        w.record_write(LineAddr::new(5), 3);
         assert_eq!(w.writes_to(LineAddr::new(3)), 2);
         assert_eq!(w.writes_to(LineAddr::new(5)), 1);
         assert_eq!(w.writes_to(LineAddr::new(9)), 0);
@@ -198,11 +235,11 @@ mod tests {
             &vec((0u64..6, 0u64..8), 0..300usize),
             |writes| {
                 let bases = [0u64, 4088, 4096, 1 << 20, 300_000_000, 1 << 29];
-                let mut tracker = WearTracker::new();
+                let mut tracker = WearTracker::default();
                 let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-                for &(base, off) in writes {
+                for (epoch, &(base, off)) in (1..).zip(writes) {
                     let line = bases[base as usize] + off;
-                    tracker.record_write(LineAddr::new(line));
+                    tracker.record_write(LineAddr::new(line), epoch);
                     *model.entry(line).or_default() += 1;
                 }
                 for base in bases {
@@ -231,9 +268,9 @@ mod tests {
 
     #[test]
     fn imbalance_of_even_writes_is_one() {
-        let mut w = WearTracker::new();
+        let mut w = WearTracker::default();
         for i in 0..10 {
-            w.record_write(LineAddr::new(i));
+            w.record_write(LineAddr::new(i), i + 1);
         }
         assert!((w.imbalance() - 1.0).abs() < 1e-9);
     }

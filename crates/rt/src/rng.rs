@@ -54,6 +54,12 @@ pub struct Xoshiro256StarStar {
 /// The workspace's standard RNG (named for drop-in familiarity).
 pub type StdRng = Xoshiro256StarStar;
 
+/// The largest mean [`Xoshiro256StarStar::poisson`] accepts: 2^30. Its
+/// sampler draws in chunks of 15, so a draw takes at most about 7·10^7
+/// chunk steps. Far larger means would not end at all: past 2^57,
+/// subtracting 15 no longer changes the remaining mean.
+pub const POISSON_MAX_LAMBDA: f64 = (1u64 << 30) as f64;
+
 impl Xoshiro256StarStar {
     /// Seeds the generator, expanding the 64-bit seed through
     /// [`SplitMix64`] as the xoshiro authors recommend (never all-zero
@@ -124,15 +130,15 @@ impl Xoshiro256StarStar {
     ///
     /// Knuth's product method for small means; larger means split
     /// recursively (a sum of independent Poissons is Poisson), keeping the
-    /// sampler exact and fully deterministic at any `lambda`.
+    /// sampler exact and fully deterministic at any `lambda` it accepts.
     ///
     /// # Panics
     ///
-    /// Panics on negative or non-finite `lambda`.
+    /// Panics unless `0 <= lambda <= POISSON_MAX_LAMBDA`.
     pub fn poisson(&mut self, lambda: f64) -> u64 {
         assert!(
-            lambda >= 0.0 && lambda.is_finite(),
-            "lambda must be finite and non-negative, got {lambda}"
+            (0.0..=POISSON_MAX_LAMBDA).contains(&lambda),
+            "lambda must be in [0, {POISSON_MAX_LAMBDA}], got {lambda}"
         );
         if lambda == 0.0 {
             return 0;
@@ -409,6 +415,14 @@ mod tests {
             assert!((mean - lambda).abs() < tol, "λ={lambda}: mean {mean}");
             assert!((var - lambda).abs() < 10.0 * tol, "λ={lambda}: var {var}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "lambda must be in")]
+    fn poisson_rejects_a_mean_past_its_limit() {
+        // 2^57 once made the chunk loop spin for good: 15 no longer
+        // changes the remaining mean.
+        StdRng::seed_from_u64(1).poisson(2f64.powi(57));
     }
 
     #[test]

@@ -40,8 +40,21 @@ impl CacheConfig {
     }
 }
 
-/// Tag of an invalid way.
-const INVALID: u64 = u64::MAX;
+/// The position of `tag` in `tags`. Each chunk of 16 is tested whole,
+/// with no early exit, so the comparison runs as vector instructions;
+/// only the chunk holding the tag is then searched.
+fn find(tags: &[u32], tag: u32) -> Option<usize> {
+    const CHUNK: usize = 16;
+    let mut chunks = tags.chunks_exact(CHUNK);
+    for (c, chunk) in chunks.by_ref().enumerate() {
+        if chunk.iter().fold(false, |hit, &t| hit | (t == tag)) {
+            return chunk.iter().position(|&t| t == tag).map(|w| c * CHUNK + w);
+        }
+    }
+    let rest = chunks.remainder();
+    let start = tags.len() - rest.len();
+    rest.iter().position(|&t| t == tag).map(|w| start + w)
+}
 
 /// What a cache access did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -61,20 +74,43 @@ pub struct LevelStats {
     pub misses: u64,
 }
 
-/// One cache level, indexed by 64-byte line address.
+/// A way's dirty bit and its neighbours in its set's recency list.
+#[derive(Clone, Copy, Debug, Default)]
+struct Way {
+    /// The next less recently used way (meaningless at the tail).
+    older: u8,
+    /// The next more recently used way (meaningless at the head).
+    newer: u8,
+    dirty: bool,
+}
+
+/// A set's recency list ends and its fill count.
+#[derive(Clone, Copy, Debug, Default)]
+struct SetState {
+    /// Most recently used way.
+    mru: u8,
+    /// Least recently used way: the next victim once the set is full.
+    lru: u8,
+    /// Ways filled so far. Fills take ways in order and no way is ever
+    /// invalidated, so exactly ways `0..fill` hold lines.
+    fill: u16,
+}
+
+/// One cache level with exact LRU, indexed by 64-byte line address.
 ///
-/// Each per-way field lives in its own array indexed by `set * ways +
-/// way`: the line held ([`u64::MAX`] when invalid), its LRU stamp and its
-/// dirty bit. A lookup scans only its set's contiguous tags: 512 bytes
-/// for the 64-way LLC.
+/// Two arrays are indexed by `set * ways + way`: the tags, and each
+/// way's dirty bit and neighbours in its set's recency list. A tag is
+/// the line's index above the set bits, stored in 32 bits, so a lookup
+/// scans 256 bytes of the 64-way LLC, and only the filled ways. A hit
+/// moves its way to the front of the list and a full set evicts the
+/// list's tail, so neither reads more than a few entries.
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    set_mask: u64,
-    tags: Vec<u64>,
-    stamps: Vec<u64>,
-    dirty: Vec<bool>,
-    tick: u64,
+    set_bits: u32,
+    tags: Vec<u32>,
+    ways: Vec<Way>,
+    sets: Vec<SetState>,
     stats: LevelStats,
 }
 
@@ -84,20 +120,20 @@ impl Cache {
     /// # Panics
     ///
     /// Panics unless the configuration forms at least one power-of-two
-    /// set.
+    /// set of at most 256 ways.
     pub fn new(config: CacheConfig) -> Self {
         let lines = (config.bytes / 64) as usize;
         assert!(config.ways > 0 && lines >= config.ways, "cache too small");
+        assert!(config.ways <= 256, "{} ways exceed 256", config.ways);
         let sets = lines / config.ways;
         assert!(sets.is_power_of_two(), "{sets} sets not a power of two");
         let slots = sets * config.ways;
         Self {
             config,
-            set_mask: sets as u64 - 1,
-            tags: vec![INVALID; slots],
-            stamps: vec![0; slots],
-            dirty: vec![false; slots],
-            tick: 0,
+            set_bits: sets.trailing_zeros(),
+            tags: vec![0; slots],
+            ways: vec![Way::default(); slots],
+            sets: vec![SetState::default(); sets],
             stats: LevelStats::default(),
         }
     }
@@ -112,44 +148,91 @@ impl Cache {
         self.stats
     }
 
+    /// One past the highest line this level can hold: tags are 32 bits
+    /// above the set bits.
+    fn line_limit(&self) -> u64 {
+        1u64 << (32 + self.set_bits)
+    }
+
     /// Accesses `line`; on a miss the line is allocated (write-allocate)
     /// and the dirty victim, if any, is reported for writeback.
     ///
     /// # Panics
     ///
-    /// Panics if `line` is `u64::MAX`, the invalid-way tag.
+    /// Panics if `line` needs a tag wider than 32 bits: at the Table 3
+    /// LLC's 2 048 sets, a line at or above 2^43.
     pub fn access(&mut self, line: u64, is_write: bool) -> AccessResult {
-        assert!(line != INVALID, "line {line} is the invalid-way tag");
-        self.tick += 1;
-        let base = (line & self.set_mask) as usize * self.config.ways;
-        let tags = &self.tags[base..base + self.config.ways];
-        if let Some(way) = tags.iter().position(|&t| t == line) {
-            self.stamps[base + way] = self.tick;
-            self.dirty[base + way] |= is_write;
+        let tag = line >> self.set_bits;
+        assert!(
+            tag <= u64::from(u32::MAX),
+            "line {line} is beyond this level's 32-bit tags (limit {})",
+            self.line_limit()
+        );
+        let tag = tag as u32;
+        let set = (line & ((1 << self.set_bits) - 1)) as usize;
+        let ways = self.config.ways;
+        let base = set * ways;
+        let state = self.sets[set];
+        let fill = usize::from(state.fill);
+        if let Some(way) = find(&self.tags[base..base + fill], tag) {
+            self.ways[base + way].dirty |= is_write;
             self.stats.hits += 1;
+            self.touch(set, way as u8);
             return AccessResult {
                 hit: true,
                 writeback: None,
             };
         }
         self.stats.misses += 1;
-        // Choose an invalid way or the LRU victim (the first on a tie).
-        let way = match tags.iter().position(|&t| t == INVALID) {
-            Some(way) => way,
-            None => {
-                let stamps = &self.stamps[base..base + self.config.ways];
-                (1..stamps.len()).fold(0, |lru, w| if stamps[w] < stamps[lru] { w } else { lru })
+        let mut writeback = None;
+        if fill < ways {
+            let way = fill as u8;
+            let state = &mut self.sets[set];
+            state.fill += 1;
+            if fill == 0 {
+                state.lru = way;
+            } else {
+                self.ways[base + fill].older = state.mru;
+                self.ways[base + usize::from(state.mru)].newer = way;
             }
-        };
-        let victim = base + way;
-        let old = std::mem::replace(&mut self.tags[victim], line);
-        let writeback = (old != INVALID && self.dirty[victim]).then_some(old);
-        self.stamps[victim] = self.tick;
-        self.dirty[victim] = is_write;
+            state.mru = way;
+            self.tags[base + fill] = tag;
+            self.ways[base + fill].dirty = is_write;
+        } else {
+            let way = state.lru;
+            let victim = base + usize::from(way);
+            if self.ways[victim].dirty {
+                writeback = Some((u64::from(self.tags[victim]) << self.set_bits) | set as u64);
+            }
+            self.tags[victim] = tag;
+            self.ways[victim].dirty = is_write;
+            self.touch(set, way);
+        }
         AccessResult {
             hit: false,
             writeback,
         }
+    }
+
+    /// Moves filled `way` of `set` to the front of its recency list.
+    fn touch(&mut self, set: usize, way: u8) {
+        let base = set * self.config.ways;
+        let state = &mut self.sets[set];
+        if state.mru == way {
+            return;
+        }
+        let ways = &mut self.ways[base..base + self.config.ways];
+        // Unlink: `way` has a newer neighbour, since it is not the head.
+        let Way { older, newer, .. } = ways[usize::from(way)];
+        if state.lru == way {
+            state.lru = newer;
+        } else {
+            ways[usize::from(older)].newer = newer;
+            ways[usize::from(newer)].older = older;
+        }
+        ways[usize::from(way)].older = state.mru;
+        ways[usize::from(state.mru)].newer = way;
+        state.mru = way;
     }
 
     /// Inserts a dirty line without a demand access (victim insertion from
@@ -219,8 +302,8 @@ mod tests {
         assert!(c.access(8, false).hit);
     }
 
-    /// The array-of-structs level the split arrays replaced, kept as the
-    /// reference they must match.
+    /// The array-of-structs level with per-line LRU stamps that the
+    /// recency lists replaced, kept as the reference they must match.
     mod reference {
         use super::super::{AccessResult, CacheConfig, LevelStats};
 
@@ -296,6 +379,8 @@ mod tests {
     fn table3_levels_match_the_array_of_structs_reference() {
         // Lines from four sets, with twice as many tags as ways per set,
         // so hits, fills, LRU evictions and dirty writebacks all occur.
+        // Half the tags sit at the top of the 32-bit tag range, so the
+        // highest line each level can hold is exercised too.
         use soteria_rt::prop::{any, check, vec, Config};
         for config in [
             CacheConfig::table3_l1(),
@@ -304,6 +389,7 @@ mod tests {
         ] {
             let sets = config.bytes / 64 / config.ways as u64;
             let tags = 2 * config.ways as u64;
+            let top = u64::from(u32::MAX) + 1 - config.ways as u64;
             check(
                 &format!("simcpu_cache_matches_reference_{}way", config.ways),
                 &Config::with_cases(16),
@@ -312,7 +398,13 @@ mod tests {
                     let mut cache = Cache::new(config);
                     let mut reference = reference::Cache::new(config);
                     for &(set, tag, is_write) in stream {
+                        let tag = if tag.is_multiple_of(2) {
+                            tag / 2
+                        } else {
+                            top + tag / 2
+                        };
                         let line = set * 97 % sets + tag * sets;
+                        soteria_rt::prop_assert!(line < cache.line_limit());
                         let got = cache.access(line, is_write);
                         soteria_rt::prop_assert_eq!(got, reference.access(line, is_write));
                         soteria_rt::prop_assert_eq!(cache.stats(), reference.stats);
@@ -321,6 +413,24 @@ mod tests {
                 },
             );
         }
+    }
+
+    #[test]
+    fn line_limit_is_the_32_bit_tag_bound() {
+        // The LLC's 2 048 sets take 11 bits, so its tags cover 2^43 lines.
+        let mut llc = Cache::new(CacheConfig::table3_llc());
+        assert_eq!(llc.line_limit(), 1 << 43);
+        let last = llc.line_limit() - 1;
+        assert!(!llc.access(last, true).hit);
+        assert!(llc.access(last, false).hit);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond this level's 32-bit tags")]
+    fn lines_past_the_tag_bound_are_rejected() {
+        let mut llc = Cache::new(CacheConfig::table3_llc());
+        let limit = llc.line_limit();
+        llc.access(limit, false);
     }
 
     #[test]

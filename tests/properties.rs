@@ -1077,6 +1077,9 @@ impl WireInputs<'_> {
         "config",
     ];
 
+    /// FITs at and around the bound, and far past it.
+    const FITS: [f64; 6] = [10_000.0, 10_000.5, 1e6, 1e300, -1.0, 0.0];
+
     fn request(rng: &mut StdRng) -> Vec<u8> {
         if rng.bounded_u64(4) == 0 {
             return (0..rng.bounded_u64(300))
@@ -1110,7 +1113,13 @@ impl WireInputs<'_> {
             (0..rng.bounded_u64(5))
                 .map(|_| {
                     let field = Self::FIELDS[rng.bounded_u64(16) as usize];
-                    (field.to_string(), values.generate(rng))
+                    // Half the `fit` values sit at or past the bound.
+                    let value = if field == "fit" && rng.bounded_u64(2) == 0 {
+                        Json::Num(Self::FITS[rng.bounded_u64(6) as usize])
+                    } else {
+                        values.generate(rng)
+                    };
+                    (field.to_string(), value)
                 })
                 .collect(),
         )
@@ -1239,8 +1248,8 @@ fn network_parsers_fail_with_errors_not_panics() {
     // like any other). The pinned corpus entry replays the seed that once
     // found a roster-skewed compare partial indexing past its arrays.
     use soteria_suite::soteria_faultsim::{
-        blocks_spec_from_json, merge_partials, run_block_range, total_blocks, CampaignConfig,
-        CompareConfig, CrashckConfig, JobSpec,
+        blocks_spec_from_json, checked_fit, merge_partials, run_block_range, total_blocks,
+        CampaignConfig, CompareConfig, CrashckConfig, JobSpec,
     };
     use soteria_suite::soteria_svc::http::{drain_budget, parse_request, ReadLimits};
     let mut campaign = CampaignConfig::table4(1500.0);
@@ -1297,7 +1306,22 @@ fn network_parsers_fail_with_errors_not_panics() {
                 Ok(())
             }
             WireInput::Kind(name, body) => {
-                let _ = JobSpec::from_kind(name, body);
+                let parsed = JobSpec::from_kind(name, body);
+                // A campaign or compare body with an out-of-range `fit`
+                // never parses, so no job runs on it.
+                let fits = match body {
+                    Json::Obj(fields) => fields
+                        .iter()
+                        .filter(|(k, _)| k == "fit")
+                        .filter_map(|(_, v)| v.as_f64())
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                if (name == "campaign" || name == "compare")
+                    && fits.iter().any(|&f| checked_fit(f).is_err())
+                {
+                    prop_assert!(parsed.is_err(), "{name} accepted fit {fits:?}");
+                }
                 let shard = Json::Obj(vec![
                     ("kind".into(), Json::Str(name.clone())),
                     ("lo".into(), Json::Num(0.0)),
